@@ -11,6 +11,7 @@ from .intpoly import (
     demoivre_reduce,
     demoivre_unfold,
     discriminant,
+    discriminant_and_signature,
     is_self_reciprocal,
     resultant,
     signature,
@@ -27,6 +28,7 @@ from .monogeneity import (
 )
 from .number_theory import (
     CompositeP,
+    InternalContradiction,
     InvalidContext,
     PrimeContext,
     factorize,

@@ -27,20 +27,9 @@ from .intpoly import (
     demoivre_reduce,
     demoivre_unfold,
 )
-from .monogeneity import (
-    ClassificationRecord,
-    FieldDiscriminant,
-    MatchKind,
-    NotDivisible,
-    NotPerfectSquare,
-    classify,
-)
-from .number_theory import CompositeP, InvalidContext, is_prime, make_context
-from .periods import (
-    NonIntegerCoefficient,
-    period_polynomial_exact,
-    period_polynomial_modular,
-)
+from .monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
+from .number_theory import CompositeP, InternalContradiction, InvalidContext, is_prime, make_context
+from .periods import period_polynomial_exact, period_polynomial_modular
 from .reference_table import TABLE_ROWS, ReferenceRow
 from .scanner import (
     ScanFailure,
@@ -444,13 +433,7 @@ def main(argv=None) -> int:
     except (CompositeP, InvalidContext, NotSelfReciprocal, OddDegree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotDivisible,
-        NotPerfectSquare,
-        NonIntegerCoefficient,
-        NotSquarefree,
-        ScanFailure,
-    ) as exc:
+    except (InternalContradiction, NotSquarefree, ScanFailure) as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

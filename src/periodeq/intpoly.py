@@ -1,9 +1,12 @@
-"""Dense integer polynomials with exact resultants, real-root signatures,
-and the palindromic degree-halving substitution y = x + 1/x.
+"""Dense integer polynomials with exact resultants, discriminants and
+real-root signatures, and the palindromic degree-halving substitution
+y = x + 1/x.
 
-Coefficients are arbitrary-precision ints, stored low degree first.  The
-zero polynomial has degree None.  All operations are exact; nothing here
-touches floating point.
+One subresultant chain on (P, P') gives both the discriminant of P and,
+through the signs that map its terms onto the Sturm sequence, the number
+of real roots.  Coefficients are arbitrary-precision ints, stored low
+degree first.  The zero polynomial has degree None.  All operations are
+exact; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce as _reduce
 
-from .number_theory import CompositeP, is_prime, word_prime
+from .number_theory import CompositeP, InternalContradiction, is_prime, word_prime
 
 
 class NotSquarefree(ArithmeticError):
@@ -190,38 +193,48 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-# -- resultants --------------------------------------------------------
+# -- subresultant chain -------------------------------------------------
 
 
-def _resultant_subresultant(P: IntPoly, Q: IntPoly) -> int:
-    """Exact resultant via the subresultant polynomial remainder sequence."""
-    a, b = list(P.coeffs), list(Q.coeffs)
-    sign = 1
-    if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) & 1:
-            sign = -sign
-        a, b = b, a
+def _subresultant_chain(a, b) -> tuple[int, list[tuple[int, int]]]:
+    """Res(a, b) and the Sturm sign chain from one subresultant PRS.
+
+    a and b are low-to-high coefficients, len(a) >= len(b) >= 1.  The chain
+    lists (degree, sign of leading coefficient) for every term of the signed
+    remainder sequence a, b, -rem(a, b), ...  Each PRS term is a nonzero
+    rational multiple of the matching signed-remainder term; eps is the sign
+    of that multiple (Basu-Pollack-Roy, ch. 9).  A zero remainder means a
+    and b share a factor: the resultant is 0 and the chain stops there.
+    """
+    chain = [(len(a) - 1, 1 if a[-1] > 0 else -1), (len(b) - 1, 1 if b[-1] > 0 else -1)]
     if len(b) == 1:
-        return sign * b[0] ** (len(a) - 1)
-    g = h = 1
-    while True:
+        return b[0] ** (len(a) - 1), chain
+    sign = g = h = eps_a = eps_b = 1
+    while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
-        if (da & 1) and (db & 1):
+        if da & db & 1:
             sign = -sign
         r = _prem(a, b)
         if not r:
-            return 0
-        a = b
+            return 0, chain
         divisor = g * h**delta
-        b = [v // divisor for v in r]
+        # -rem(a, b) = -prem(a, b) / lc(b)^(delta+1) and prem(a, b) = divisor * next b
+        eps = eps_a if divisor < 0 else -eps_a
+        if b[-1] < 0 and not delta & 1:
+            eps = -eps
+        a, b = b, [v // divisor for v in r]
+        eps_a, eps_b = eps_b, eps
+        chain.append((len(b) - 1, eps if b[-1] > 0 else -eps))
         g = a[-1]
         if delta:
             h = g**delta // h ** (delta - 1)
-        if len(b) == 1:
-            break
     da = len(a) - 1
-    return sign * b[0] ** da // h ** (da - 1)
+    return sign * b[0] ** da // h ** (da - 1), chain
+
+
+def _resultant_subresultant(P: IntPoly, Q: IntPoly) -> int:
+    return _subresultant_chain(P.coeffs, Q.coeffs)[0]
 
 
 def _poly_mod_q(a: list[int], b: list[int], binv: int, q: int) -> list[int]:
@@ -244,12 +257,7 @@ def _poly_mod_q(a: list[int], b: list[int], binv: int, q: int) -> list[int]:
 def _resultant_mod_q(P: IntPoly, Q: IntPoly, q: int) -> int:
     a = [v % q for v in P.coeffs]
     b = [v % q for v in Q.coeffs]
-    res = 1
-    sign = 1
-    if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) & 1:
-            sign = -1
-        a, b = b, a
+    res = sign = 1
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
         if (da & 1) and (db & 1):
@@ -326,63 +334,44 @@ def resultant(P: IntPoly, Q: IntPoly, engine: str = "subresultant") -> int:
         fn = _ENGINES[engine]
     except KeyError:
         raise ValueError(f"unknown resultant engine {engine!r}") from None
+    if P.degree < Q.degree:
+        res = fn(Q, P)
+        return -res if P.degree * Q.degree & 1 else res
     return fn(P, Q)
 
 
-def discriminant(P: IntPoly, engine: str = "subresultant") -> int:
-    """Discriminant of P (degree >= 1): (-1)^(n(n-1)/2) Res(P, P') / lc."""
-    n = P.degree
-    if n is None or n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    r = resultant(P, P.derivative(), engine=engine)
-    q, rem = divmod(r, P.lc)
+def _discriminant_from_resultant(P: IntPoly, res: int) -> int:
+    q, rem = divmod(res, P.lc)
     if rem:
-        raise AssertionError("resultant not divisible by leading coefficient")
-    return -q if (n * (n - 1) // 2) & 1 else q
+        raise InternalContradiction("resultant not divisible by leading coefficient")
+    return -q if (P.degree * (P.degree - 1) // 2) & 1 else q
 
 
-# -- real-root signature (Sturm) ---------------------------------------
+def discriminant(P: IntPoly, engine: str = "subresultant") -> int:
+    """Discriminant of P (degree >= 1): (-1)^(n(n-1)/2) Res(P, P') / lc.
+
+    Returns 0 when P is not squarefree.
+    """
+    if P.degree is None or P.degree < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    return _discriminant_from_resultant(P, resultant(P, P.derivative(), engine=engine))
 
 
-def _strip_content(r: list[int]) -> list[int]:
-    g = 0
-    for v in r:
-        g = math.gcd(g, v)
-        if g == 1:
-            return r
-    return [v // g for v in r]
+def discriminant_and_signature(P: IntPoly) -> tuple[int, Signature]:
+    """Discriminant and real-root signature of a squarefree P (degree >= 1).
 
-
-def signature(P: IntPoly) -> Signature:
-    """Count real roots and complex-conjugate pairs of a squarefree P.
-
-    Sturm's method on a content-stripped remainder sequence.  Each
-    pseudo-remainder is scaled by an even power of the divisor's leading
-    coefficient so that signs match the rational Sturm sequence exactly.
+    Both come from one subresultant chain on (P, P'): the discriminant from
+    its last term, the root count from Sturm's theorem, as v(-inf) - v(+inf)
+    over the sign chain.  Raises NotSquarefree when P and P' share a factor.
     """
     n = P.degree
     if n is None or n < 1:
-        raise ValueError("signature needs degree >= 1")
-    a = _strip_content(list(P.coeffs))
-    b = _strip_content(list(P.derivative().coeffs))
-    chain: list[tuple[int, int]] = [(len(a) - 1, 1 if a[-1] > 0 else -1)]
-    while True:
-        chain.append((len(b) - 1, 1 if b[-1] > 0 else -1))
-        if len(b) == 1:
-            break
-        delta = len(a) - len(b)
-        r = _prem(a, b)
-        if not r:
-            raise NotSquarefree(
-                f"gcd with derivative has degree {len(b) - 1}; input is not squarefree"
-            )
-        if delta & 1 == 0:
-            # delta+1 odd: one more factor of lc(b) keeps the scale positive
-            c = b[-1]
-            r = [v * c for v in r]
-        a, b = b, _strip_content([-v for v in r])
+        raise ValueError("discriminant and signature need degree >= 1")
+    res, chain = _subresultant_chain(P.coeffs, P.derivative().coeffs)
+    if not res:
+        raise NotSquarefree(
+            f"gcd with derivative has degree {chain[-1][0]}; input is not squarefree"
+        )
     v_neg = v_pos = 0
     for (d1, s1), (d2, s2) in zip(chain, chain[1:]):
         if s1 != s2:
@@ -391,8 +380,14 @@ def signature(P: IntPoly) -> Signature:
             v_neg += 1
     n_real = v_neg - v_pos
     if (n - n_real) & 1:
-        raise AssertionError("parity mismatch in Sturm count")
-    return Signature(n_real=n_real, n_complex_pairs=(n - n_real) // 2)
+        raise InternalContradiction("parity mismatch in Sturm count")
+    sig = Signature(n_real=n_real, n_complex_pairs=(n - n_real) // 2)
+    return _discriminant_from_resultant(P, res), sig
+
+
+def signature(P: IntPoly) -> Signature:
+    """Count real roots and complex-conjugate pairs of a squarefree P."""
+    return discriminant_and_signature(P)[1]
 
 
 # -- palindromic reduction y = x + 1/x ---------------------------------

@@ -18,16 +18,22 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import IntPoly, Signature, cyclotomic_prime, demoivre_unfold, discriminant, signature
-from .number_theory import InvalidContext, PrimeContext, is_prime
+from .intpoly import (
+    IntPoly,
+    Signature,
+    cyclotomic_prime,
+    demoivre_unfold,
+    discriminant_and_signature,
+)
+from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
 from .periods import period_polynomial_modular
 
 
-class NotDivisible(ArithmeticError):
+class NotDivisible(InternalContradiction):
     """Polynomial discriminant is not divisible by the field discriminant."""
 
 
-class NotPerfectSquare(ArithmeticError):
+class NotPerfectSquare(InternalContradiction):
     """Discriminant quotient is not the square of an integer."""
 
 
@@ -115,12 +121,17 @@ def _match_kind(ctx: PrimeContext, psi: IntPoly, monogenic: bool) -> MatchKind:
 
 
 def classify(ctx: PrimeContext) -> ClassificationRecord:
-    """Full pipeline for one context: build, discriminate, divide, match."""
+    """Full pipeline for one context: build, discriminate, divide, match.
+
+    The signature is checked against the parity law: the period field is
+    totally real when f is even and totally complex when f is odd.
+    """
     psi = period_polynomial_modular(ctx).poly
-    disc = discriminant(psi)
+    disc, sig = discriminant_and_signature(psi)
     delta = field_discriminant(ctx.e, ctx.f, ctx.p)
     k2, k = index_squared(disc, delta)
-    sig = signature(psi)
+    if sig.n_real != (ctx.e if ctx.f % 2 == 0 else 0):
+        raise InternalContradiction(f"{sig.n_real} real roots break the parity law for f = {ctx.f}")
     monogenic = k == 1
     return ClassificationRecord(
         e=ctx.e,

@@ -1,9 +1,10 @@
 """Primality, factorization, and primitive roots for period-equation contexts.
 
 Everything here is deterministic.  Primality uses the fixed Miller-Rabin
-witness set that is proven exact for all n < 3.3e24 (in particular for the
-full 64-bit range), factorization is wheel trial division, and the primitive
-root returned is always the smallest one.
+witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
+particular for the full 64-bit range); larger n are refused, not guessed.
+Factorization is wheel trial division, and the primitive root returned is
+always the smallest one.
 """
 
 from __future__ import annotations
@@ -22,18 +23,30 @@ class InvalidContext(ValueError):
     """Raised for structurally invalid (e, f) parameters."""
 
 
-# Strong-pseudoprime witnesses; exact below 3.3e24 (Sorenson-Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+class InternalContradiction(ArithmeticError):
+    """A proven invariant failed: a bug, not a property of the input."""
+
+
+# Strong-pseudoprime witnesses 2..41: the least strong pseudoprime to all of
+# them is psi_13 = 3317044064679887385961981 (Sorenson-Webster 2015,
+# arXiv:1509.00864).  Without 41 the bound is psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for every n below 3.3e24."""
+    """Deterministic primality test, exact for every n < PRIME_TEST_BOUND.
+
+    Raises ValueError for n >= PRIME_TEST_BOUND rather than guess.
+    """
     if n < 2:
         return False
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is beyond the proven range of is_prime (< {PRIME_TEST_BOUND})")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
-    if n < 41 * 41:
+    if n < 43 * 43:
         return True
     d = n - 1
     r = (d & -d).bit_length() - 1
@@ -93,7 +106,7 @@ def primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, t, p) != 1 for t in tests):
             return g
-    raise AssertionError(f"no primitive root found for {p}")
+    raise InternalContradiction(f"no primitive root found for {p}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,8 @@ def make_context(e: int, f: int) -> PrimeContext:
     p = e * f + 1
     if p < 3:
         raise InvalidContext(f"p = {p} is too small")
+    if p >= PRIME_TEST_BOUND:
+        raise InvalidContext(f"p = {p} is beyond the proven primality range (< {PRIME_TEST_BOUND})")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
     facs = tuple(sorted(factorize(p - 1).items()))

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from math import comb
 
 from .intpoly import IntPoly
-from .number_theory import PrimeContext, primes_in_progression
+from .number_theory import InternalContradiction, PrimeContext, primes_in_progression
 
 
 class MismatchedP(ValueError):
     """Raised when combining cyclotomic integers over different primes."""
 
 
-class NonIntegerCoefficient(ArithmeticError):
+class NonIntegerCoefficient(InternalContradiction):
     """Raised if a supposedly rational-integer coefficient fails to collapse."""
 
 

@@ -16,15 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .intpoly import NotSquarefree
-from .monogeneity import (
-    ClassificationRecord,
-    MatchKind,
-    NotDivisible,
-    NotPerfectSquare,
-    classify,
-)
-from .number_theory import InvalidContext, is_prime, make_context
-from .periods import NonIntegerCoefficient
+from .monogeneity import ClassificationRecord, MatchKind, classify
+from .number_theory import PRIME_TEST_BOUND, InternalContradiction, InvalidContext, is_prime, make_context
 
 
 class ScanMode(str, Enum):
@@ -59,8 +52,8 @@ class ScanSpec:
         object.__setattr__(self, "mode", ScanMode(self.mode))
         if not 1 <= self.e_min <= self.e_max:
             raise InvalidContext(f"need 1 <= e_min <= e_max, got {self.e_min}..{self.e_max}")
-        if self.p_bound < 3:
-            raise InvalidContext(f"p_bound {self.p_bound} is too small")
+        if not 3 <= self.p_bound < PRIME_TEST_BOUND:
+            raise InvalidContext(f"p_bound {self.p_bound} is outside [3, {PRIME_TEST_BOUND})")
         if self.worker_count < 1:
             raise InvalidContext(f"worker_count must be >= 1, got {self.worker_count}")
 
@@ -90,7 +83,7 @@ def _classify_task(task: tuple[int, int]) -> ClassificationRecord:
     e, f = task
     try:
         return classify(make_context(e, f))
-    except (NotDivisible, NotPerfectSquare, NonIntegerCoefficient, NotSquarefree) as exc:
+    except (InternalContradiction, NotSquarefree) as exc:
         raise ScanFailure(e, f, str(exc)) from exc
 
 
@@ -98,7 +91,7 @@ def _run_tasks(tasks: list[tuple[int, int]], worker_count: int) -> list[Classifi
     if worker_count <= 1 or len(tasks) < 2:
         return [_classify_task(t) for t in tasks]
     chunk = max(1, len(tasks) // (8 * worker_count))
-    ctx = multiprocessing.get_context("fork")
+    ctx = multiprocessing.get_context()
     with ctx.Pool(processes=worker_count) as pool:
         return pool.map(_classify_task, tasks, chunksize=chunk)
 

@@ -53,6 +53,14 @@ def test_psi_rejects_bad_shape(capsys):
     assert code == 2
 
 
+def test_classify_rejects_p_beyond_primality_bound(capsys):
+    from periodeq.number_theory import PRIME_TEST_BOUND
+
+    code, _, err = run(capsys, ["classify", "--e", "1", "--f", str(PRIME_TEST_BOUND - 1)])
+    assert code == 2
+    assert "primality range" in err
+
+
 def test_psi_json(capsys):
     code, out, _ = run(capsys, ["psi", "--e", "5", "--f", "2", "--format", "json"])
     obj = json.loads(out)
@@ -234,6 +242,19 @@ def test_scan_counterexample_exit(monkeypatch, capsys):
     code, out, err = run(capsys, ["scan", "--e-range", "4:4", "--p-bound", "20", "--format", "text"])
     assert code == 3
     assert "counterexample" in err
+
+
+def test_scan_internal_contradiction_exits_4(monkeypatch, capsys):
+    import periodeq.monogeneity as mono_mod
+    from periodeq.number_theory import InternalContradiction
+
+    def explode(psi):
+        raise InternalContradiction("forced")
+
+    monkeypatch.setattr(mono_mod, "discriminant_and_signature", explode)
+    code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "12"])
+    assert code == 4
+    assert "(e=5, f=2)" in err and "forced" in err
 
 
 # -- doublets / cubic growth / table --------------------------------------

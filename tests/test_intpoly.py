@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodeq.intpoly import (
@@ -15,11 +15,14 @@ from periodeq.intpoly import (
     demoivre_reduce,
     demoivre_unfold,
     discriminant,
+    discriminant_and_signature,
     is_self_reciprocal,
     resultant,
     signature,
 )
-from periodeq.number_theory import CompositeP
+from periodeq.monogeneity import field_discriminant, index_squared
+from periodeq.number_theory import CompositeP, is_prime, make_context
+from periodeq.periods import period_polynomial_modular
 
 x = sympy.symbols("x")
 
@@ -31,6 +34,12 @@ def to_sympy(P: IntPoly):
 coeff = st.integers(min_value=-50, max_value=50)
 small_poly = st.lists(coeff, min_size=1, max_size=8).map(IntPoly)
 nonzero_poly = small_poly.filter(lambda P: not P.is_zero())
+# mostly-zero bodies force degree drops >= 2 in the remainder chain
+sparse_poly = st.builds(
+    lambda body, lc: IntPoly(body + [lc]),
+    st.lists(st.one_of(st.just(0), coeff), min_size=1, max_size=10),
+    coeff.filter(bool),
+)
 
 
 def _det_bareiss(M):
@@ -280,6 +289,49 @@ def test_signature_matches_sympy_real_root_count(P):
     sig = signature(P)
     assert sig.n_real + 2 * sig.n_complex_pairs == P.degree
     assert sig.n_real == sympy.Poly(to_sympy(P).as_expr(), x).count_roots()
+
+
+# -- discriminant and signature from one chain ----------------------------
+
+
+@given(sparse_poly)
+@settings(max_examples=200)
+def test_discriminant_and_signature_match_sympy(P):
+    want = sympy.discriminant(to_sympy(P))
+    assume(want != 0)
+    disc, sig = discriminant_and_signature(P)
+    assert disc == want
+    assert sig.n_real == to_sympy(P).count_roots()
+    assert sig.n_real + 2 * sig.n_complex_pairs == P.degree
+
+
+def test_discriminant_and_signature_of_binomials():
+    # c*x^n + d: the chain drops from degree n - 1 straight to a constant.
+    # disc = (-1)^(n(n-1)/2) n^n c^(n-1) d^(n-1); the real roots solve x^n = -d/c.
+    for n in range(1, 13):
+        for c in (1, -1, 3, -4):
+            for d in (1, -1, 5, -6):
+                P = IntPoly((d,) + (0,) * (n - 1) + (c,))
+                want = (-1) ** (n * (n - 1) // 2) * n**n * c ** (n - 1) * d ** (n - 1)
+                n_real = 1 if n & 1 else (2 if c * d < 0 else 0)
+                assert discriminant_and_signature(P) == (want, Signature(n_real, (n - n_real) // 2))
+        if n >= 2:
+            with pytest.raises(NotSquarefree):
+                discriminant_and_signature(IntPoly((0,) * n + (-3,)))
+    with pytest.raises(ValueError):
+        discriminant_and_signature(IntPoly((3,)))
+
+
+def test_discriminant_and_signature_on_period_polynomials():
+    for p in filter(is_prime, range(3, 301)):
+        for e in [d for d in range(1, p) if (p - 1) % d == 0]:
+            f = (p - 1) // e
+            P = period_polynomial_modular(make_context(e, f)).poly
+            disc, sig = discriminant_and_signature(P)
+            assert (disc, sig) == (discriminant(P), signature(P)), (e, f)
+            # independent checks: the parity law, and D = k^2 * (+-p^(e-1))
+            assert sig.n_real == (e if f % 2 == 0 else 0), (e, f)
+            index_squared(disc, field_discriminant(e, f, p))
 
 
 # -- palindromic reduction ----------------------------------------------

@@ -13,7 +13,7 @@ from periodeq.monogeneity import (
     field_discriminant,
     index_squared,
 )
-from periodeq.number_theory import InvalidContext, is_prime, make_context
+from periodeq.number_theory import InternalContradiction, InvalidContext, is_prime, make_context
 from periodeq.periods import period_polynomial_modular
 
 
@@ -169,3 +169,17 @@ def test_match_requires_exact_polynomial():
     rec = classify(make_context(8, 2))
     assert rec.match_kind is MatchKind.REDUCED_CYCLOTOMIC
     assert rec.psi == period_polynomial_modular(make_context(8, 2)).poly
+
+
+def test_classify_checks_parity_law(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+
+    real = mono_mod.discriminant_and_signature
+
+    def wrong_signature(psi):
+        disc, sig = real(psi)
+        return disc, Signature(sig.n_real - 2, sig.n_complex_pairs + 1)
+
+    monkeypatch.setattr(mono_mod, "discriminant_and_signature", wrong_signature)
+    with pytest.raises(InternalContradiction, match="parity law"):
+        classify(make_context(4, 4))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodeq.number_theory import (
+    PRIME_TEST_BOUND,
     WORD_PRIME_FLOOR,
     CompositeP,
     InvalidContext,
@@ -34,6 +35,21 @@ def test_is_prime_near_word_boundary():
     assert is_prime(4611686018427388039)  # first prime above 2^62
     for n in range(2**62, 2**62 + 60):
         assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_exact_up_to_its_bound():
+    # strong pseudoprime to every base 2..37 (Sorenson-Webster psi_12)
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    for n in range(PRIME_TEST_BOUND - 300, PRIME_TEST_BOUND):
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_BOUND)
+    with pytest.raises(CompositeP):
+        make_context(1, psi12 - 1)
+    with pytest.raises(InvalidContext):
+        make_context(2, (PRIME_TEST_BOUND - 1) // 2)
 
 
 @given(st.integers(min_value=0, max_value=10**12))

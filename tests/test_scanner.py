@@ -4,7 +4,7 @@ import pytest
 
 from periodeq.intpoly import IntPoly, Signature
 from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind
-from periodeq.number_theory import InvalidContext
+from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext
 from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
@@ -28,6 +28,8 @@ def test_scan_spec_validation():
         ScanSpec(0, 4, 100)
     with pytest.raises(InvalidContext):
         ScanSpec(4, 6, 2)
+    with pytest.raises(InvalidContext):
+        ScanSpec(4, 6, PRIME_TEST_BOUND)
     with pytest.raises(InvalidContext):
         ScanSpec(4, 6, 100, worker_count=0)
     with pytest.raises(ValueError):
