@@ -101,8 +101,9 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.monotonic()
     growth = cubic_growth(cfg.cubic_p_bound)
+    slope = "undefined" if growth.slope is None else f"{growth.slope:.3f}"
     print(f"cubics: checkpoint counts {growth.checkpoints} "
-          f"(log-log slope {growth.slope:.3f}; {time.monotonic() - t0:.1f}s)")
+          f"(log-log slope {slope}; {time.monotonic() - t0:.1f}s)")
 
     if cfg.output_dir is not None:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -37,11 +37,8 @@ from .number_theory import (
     primitive_root,
 )
 from .periods import (
-    CycInt,
-    MismatchedP,
     NonIntegerCoefficient,
     PeriodPolynomial,
-    period,
     period_polynomial_exact,
     period_polynomial_modular,
 )

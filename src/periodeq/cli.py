@@ -40,6 +40,7 @@ from .scanner import (
     doublet_survey,
     fast_doublet_candidates,
     scan,
+    summarize,
 )
 
 CSV_HEADER = "e,f,p,g,n_real,delta_sign,delta_exponent,k_squared,k,monogenic,match_kind,coeffs"
@@ -155,7 +156,7 @@ def report_to_json(report: ScanReport) -> str:
             "e_min": report.spec.e_min,
             "e_max": report.spec.e_max,
             "p_bound": report.spec.p_bound,
-            "mode": report.spec.mode.value,
+            "mode": "full",
         },
         "records": [record_to_json_dict(r) for r in report.records],
         "missing_e": list(report.missing_e),
@@ -167,25 +168,14 @@ def report_to_json(report: ScanReport) -> str:
 
 def report_from_json(text: str) -> ScanReport:
     obj = json.loads(text)
+    if obj["spec"]["mode"] != "full":
+        raise ValueError(f"cannot read a scan report of mode {obj['spec']['mode']!r}")
     spec = ScanSpec(
         e_min=obj["spec"]["e_min"],
         e_max=obj["spec"]["e_max"],
         p_bound=obj["spec"]["p_bound"],
-        mode=ScanMode(obj["spec"]["mode"]),
     )
-    records = tuple(record_from_json_dict(d) for d in obj["records"])
-    mono: dict[int, list[int]] = {e: [] for e in range(spec.e_min, spec.e_max + 1)}
-    for rec in records:
-        if rec.monogenic:
-            mono[rec.e].append(rec.f)
-    return ScanReport(
-        spec=spec,
-        records=records,
-        monogenic_map={e: tuple(sorted(fs)) for e, fs in mono.items()},
-        missing_e=tuple(obj["missing_e"]),
-        doublets=tuple(obj["doublets"]),
-        counterexamples=tuple(record_from_json_dict(d) for d in obj["counterexamples"]),
-    )
+    return summarize(spec, (record_from_json_dict(d) for d in obj["records"]))
 
 
 # -- reference table verification --------------------------------------
@@ -302,7 +292,6 @@ def cmd_scan(args) -> int:
         e_min=e_min,
         e_max=e_max,
         p_bound=args.p_bound,
-        mode=ScanMode(args.mode),
         worker_count=args.workers,
     )
     report = scan(spec)
@@ -313,7 +302,7 @@ def cmd_scan(args) -> int:
     else:
         lines = [
             f"scanned e in [{spec.e_min}, {spec.e_max}], p <= {spec.p_bound}, "
-            f"mode={spec.mode.value}: {len(report.records)} pairs",
+            f"mode=full: {len(report.records)} pairs",
             f"monogenic pairs: {sum(1 for r in report.records if r.monogenic)}",
             f"missing e: {' '.join(map(str, report.missing_e)) or 'none'}",
             f"doublets: {' '.join(map(str, report.doublets)) or 'none'}",
@@ -402,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="survey a rectangle of (e, f) pairs")
     p.add_argument("--e-range", required=True, help="e.g. 4:60")
     p.add_argument("--p-bound", type=int, required=True)
-    p.add_argument("--mode", default="full", choices=[m.value for m in ScanMode])
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None)
     add_format(p, default="csv")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce as _reduce
 
-from .number_theory import CompositeP, InternalContradiction, is_prime, word_prime
+from .number_theory import CompositeP, InternalContradiction, is_prime
 
 
 class NotSquarefree(ArithmeticError):
@@ -233,111 +233,14 @@ def _subresultant_chain(a, b) -> tuple[int, list[tuple[int, int]]]:
     return sign * b[0] ** da // h ** (da - 1), chain
 
 
-def _resultant_subresultant(P: IntPoly, Q: IntPoly) -> int:
-    return _subresultant_chain(P.coeffs, Q.coeffs)[0]
-
-
-def _poly_mod_q(a: list[int], b: list[int], binv: int, q: int) -> list[int]:
-    """Remainder of a modulo b over GF(q); entries already reduced mod q."""
-    db = len(b) - 1
-    r = list(a)
-    for top in range(len(r) - 1, db - 1, -1):
-        coef = r[top]
-        if coef:
-            c = coef * binv % q
-            off = top - db
-            for j in range(db):
-                r[off + j] = (r[off + j] - c * b[j]) % q
-    del r[db:]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _resultant_mod_q(P: IntPoly, Q: IntPoly, q: int) -> int:
-    a = [v % q for v in P.coeffs]
-    b = [v % q for v in Q.coeffs]
-    res = sign = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        if (da & 1) and (db & 1):
-            sign = -sign
-        r = _poly_mod_q(a, b, pow(b[-1], -1, q), q)
-        if not r:
-            return 0
-        res = res * pow(b[-1], da - (len(r) - 1), q) % q
-        a, b = b, r
-    return sign * res * pow(b[0], len(a) - 1, q) % q
-
-
-def _resultant_modular(P: IntPoly, Q: IntPoly) -> int:
-    """Resultant by CRT over word-size primes with early termination.
-
-    Stops once the symmetric representative has been stable while 3 extra
-    primes were folded in, then double-checks against 2 fresh primes; a
-    failed check simply folds those residues in and keeps going, so the
-    result never depends on luck.
-    """
-    val, mod = 0, 1
-    stable = 0
-    i = 0
-
-    def next_residue() -> tuple[int, int]:
-        nonlocal i
-        while True:
-            q = word_prime(i)
-            i += 1
-            if P.lc % q and Q.lc % q:
-                return _resultant_mod_q(P, Q, q), q
-
-    def fold(val: int, mod: int, r: int, q: int) -> tuple[int, int]:
-        # CRT combine, then map into (-mod*q/2, mod*q/2]
-        inv = pow(mod % q, -1, q)
-        t = (r - val) % q * inv % q
-        val += mod * t
-        mod *= q
-        if val > mod // 2:
-            val -= mod
-        return val, mod
-
-    while True:
-        r, q = next_residue()
-        new_val, new_mod = fold(val, mod, r, q)
-        stable = stable + 1 if (mod > 1 and new_val == val) else 0
-        val, mod = new_val, new_mod
-        if stable >= 3:
-            checks = [next_residue() for _ in range(2)]
-            if all(val % q == r % q for r, q in checks):
-                return val
-            for r, q in checks:
-                val, mod = fold(val, mod, r, q)
-            stable = 0
-
-
-_ENGINES = {
-    "subresultant": _resultant_subresultant,
-    "modular": _resultant_modular,
-}
-
-
-def resultant(P: IntPoly, Q: IntPoly, engine: str = "subresultant") -> int:
-    """Resultant of two nonzero integer polynomials.
-
-    Two interchangeable engines: 'subresultant' (exact integer remainder
-    sequence) and 'modular' (CRT over word-size primes).  They agree on
-    everything; the subresultant path is the default because CPython's
-    bignum kernel makes it the faster of the two at the sizes seen here.
-    """
+def resultant(P: IntPoly, Q: IntPoly) -> int:
+    """Resultant of two nonzero integer polynomials, from the subresultant chain."""
     if P.is_zero() or Q.is_zero():
         raise ValueError("resultant of the zero polynomial is not defined here")
-    try:
-        fn = _ENGINES[engine]
-    except KeyError:
-        raise ValueError(f"unknown resultant engine {engine!r}") from None
     if P.degree < Q.degree:
-        res = fn(Q, P)
+        res = _subresultant_chain(Q.coeffs, P.coeffs)[0]
         return -res if P.degree * Q.degree & 1 else res
-    return fn(P, Q)
+    return _subresultant_chain(P.coeffs, Q.coeffs)[0]
 
 
 def _discriminant_from_resultant(P: IntPoly, res: int) -> int:
@@ -347,14 +250,14 @@ def _discriminant_from_resultant(P: IntPoly, res: int) -> int:
     return -q if (P.degree * (P.degree - 1) // 2) & 1 else q
 
 
-def discriminant(P: IntPoly, engine: str = "subresultant") -> int:
+def discriminant(P: IntPoly) -> int:
     """Discriminant of P (degree >= 1): (-1)^(n(n-1)/2) Res(P, P') / lc.
 
     Returns 0 when P is not squarefree.
     """
     if P.degree is None or P.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
-    return _discriminant_from_resultant(P, resultant(P, P.derivative(), engine=engine))
+    return _discriminant_from_resultant(P, resultant(P, P.derivative()))
 
 
 def discriminant_and_signature(P: IntPoly) -> tuple[int, Signature]:

@@ -123,7 +123,6 @@ class PrimeContext:
     e: int
     f: int
     g: int
-    factors_p_minus_1: tuple[tuple[int, int], ...]
 
 
 def make_context(e: int, f: int) -> PrimeContext:
@@ -137,23 +136,10 @@ def make_context(e: int, f: int) -> PrimeContext:
         raise InvalidContext(f"p = {p} is beyond the proven primality range (< {PRIME_TEST_BOUND})")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    facs = tuple(sorted(factorize(p - 1).items()))
-    return PrimeContext(p=p, e=e, f=f, g=primitive_root(p), factors_p_minus_1=facs)
+    return PrimeContext(p=p, e=e, f=f, g=primitive_root(p))
 
 
 WORD_PRIME_FLOOR = 1 << 62
-
-_word_primes: list[int] = []
-
-
-def word_prime(i: int) -> int:
-    """i-th prime above 2**62 in increasing order (cached across calls)."""
-    while len(_word_primes) <= i:
-        n = _word_primes[-1] + 2 if _word_primes else WORD_PRIME_FLOOR + 1
-        while not is_prime(n):
-            n += 2
-        _word_primes.append(n)
-    return _word_primes[i]
 
 
 def primes_in_progression(modulus: int, start: int = WORD_PRIME_FLOOR) -> Iterator[int]:

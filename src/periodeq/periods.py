@@ -3,9 +3,9 @@
 For p = e*f + 1 prime with primitive root g, the i-th period is
 eta_i = sum over k < f of zeta^(g^(k*e+i)), zeta a primitive p-th root of
 unity.  The period polynomial psi_e = prod (x - eta_i) has integer
-coefficients; two independent constructions are provided, one in exact
-cyclotomic-integer arithmetic and one modular with CRT reconstruction
-against a proven coefficient bound.
+coefficients; two independent constructions are provided, one exact, on
+integer coordinate vectors over 1, zeta, ..., zeta^(p-1), and one modular
+with CRT reconstruction against a proven coefficient bound.
 """
 
 from __future__ import annotations
@@ -17,95 +17,8 @@ from .intpoly import IntPoly
 from .number_theory import InternalContradiction, PrimeContext, primes_in_progression
 
 
-class MismatchedP(ValueError):
-    """Raised when combining cyclotomic integers over different primes."""
-
-
 class NonIntegerCoefficient(InternalContradiction):
     """Raised if a supposedly rational-integer coefficient fails to collapse."""
-
-
-@dataclass(frozen=True)
-class CycInt:
-    """Element of Z[zeta_p] in canonical coordinates on 1, zeta, ..., zeta^(p-2).
-
-    The relation 1 + zeta + ... + zeta^(p-1) = 0 eliminates zeta^(p-1);
-    canonical form is unique, so equality is plain tuple comparison.
-    """
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.p < 3:
-            raise ValueError(f"need p >= 3, got {self.p}")
-        if len(self.coeffs) != self.p - 1:
-            raise ValueError(
-                f"need exactly {self.p - 1} coordinates, got {len(self.coeffs)}"
-            )
-
-    @classmethod
-    def zero(cls, p: int) -> "CycInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
-    def integer(cls, p: int, n: int) -> "CycInt":
-        return cls(p, (n,) + (0,) * (p - 2))
-
-    @classmethod
-    def root_power(cls, p: int, k: int) -> "CycInt":
-        """zeta^k in canonical form (k taken mod p)."""
-        k %= p
-        if k == p - 1:
-            return cls(p, (-1,) * (p - 1))
-        c = [0] * (p - 1)
-        c[k] = 1
-        return cls(p, tuple(c))
-
-    @classmethod
-    def _from_cyclic(cls, p: int, vec: list[int]) -> "CycInt":
-        """Canonicalize a length-p coordinate vector on 1, zeta, ..., zeta^(p-1)."""
-        last = vec[p - 1]
-        return cls(p, tuple(vec[i] - last for i in range(p - 1)))
-
-    def _check(self, other: "CycInt") -> None:
-        if self.p != other.p:
-            raise MismatchedP(f"cannot combine p={self.p} with p={other.p}")
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.p, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.p, tuple(other * a for a in self.coeffs))
-        self._check(other)
-        p = self.p
-        out = [0] * p
-        b = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, c in enumerate(b):
-                    k = i + j
-                    out[k if k < p else k - p] += a * c
-        return CycInt._from_cyclic(p, out)
-
-    __rmul__ = __mul__
-
-    def is_rational_integer(self) -> bool:
-        return all(v == 0 for v in self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational_integer():
-            raise NonIntegerCoefficient(f"{self.coeffs} is not a rational integer")
-        return self.coeffs[0]
 
 
 def _power_table(ctx: PrimeContext) -> list[int]:
@@ -122,17 +35,6 @@ def _exponent_sets(ctx: PrimeContext) -> list[list[int]]:
     tab = _power_table(ctx)
     e = ctx.e
     return [[tab[k * e + i] for k in range(ctx.f)] for i in range(e)]
-
-
-def period(ctx: PrimeContext, i: int) -> CycInt:
-    """The i-th Gaussian period eta_i as an exact cyclotomic integer."""
-    if not 0 <= i < ctx.e:
-        raise IndexError(f"period index {i} outside 0..{ctx.e - 1}")
-    p = ctx.p
-    vec = [0] * p
-    for a in _exponent_sets(ctx)[i]:
-        vec[a] += 1
-    return CycInt._from_cyclic(p, vec)
 
 
 @dataclass(frozen=True)

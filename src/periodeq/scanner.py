@@ -40,20 +40,21 @@ class ScanFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Parameters of one survey: e range, prime bound, mode, parallelism."""
+    """Parameters of one survey: e range, prime bound, parallelism."""
 
     e_min: int
     e_max: int
     p_bound: int
-    mode: ScanMode = ScanMode.FULL
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", ScanMode(self.mode))
         if not 1 <= self.e_min <= self.e_max:
             raise InvalidContext(f"need 1 <= e_min <= e_max, got {self.e_min}..{self.e_max}")
         if not 3 <= self.p_bound < PRIME_TEST_BOUND:
             raise InvalidContext(f"p_bound {self.p_bound} is outside [3, {PRIME_TEST_BOUND})")
+        if self.e_max >= self.p_bound:
+            # p = e*f + 1 <= p_bound forces e < p_bound: larger e have no pairs
+            raise InvalidContext(f"need e_max < p_bound, got e_max={self.e_max}, p_bound={self.p_bound}")
         if self.worker_count < 1:
             raise InvalidContext(f"worker_count must be >= 1, got {self.worker_count}")
 
@@ -111,26 +112,16 @@ def fast_doublet_candidates(e_min: int, e_max: int) -> list[int]:
     return [e for e in range(e_min, e_max + 1) if is_prime(e + 1) and is_prime(2 * e + 1)]
 
 
-def scan(spec: ScanSpec) -> ScanReport:
-    """Run the survey described by spec and derive its summary structures."""
-    first_surveyed = max(4, spec.e_min)
-    if spec.mode is ScanMode.FAST_DOUBLET:
-        doublets = tuple(fast_doublet_candidates(first_surveyed, spec.e_max))
-        return ScanReport(
-            spec=spec,
-            records=(),
-            monogenic_map={},
-            missing_e=(),
-            doublets=doublets,
-            counterexamples=(),
-        )
-
-    records = tuple(_run_tasks(scan_tasks(spec), spec.worker_count))
+def summarize(spec: ScanSpec, records) -> ScanReport:
+    """Derive the monogenic map, missing e, doublets and counterexamples from
+    the records of a full scan of spec."""
+    records = tuple(records)
     mono: dict[int, list[int]] = {e: [] for e in range(spec.e_min, spec.e_max + 1)}
     for rec in records:
         if rec.monogenic:
             mono[rec.e].append(rec.f)
     monogenic_map = {e: tuple(sorted(fs)) for e, fs in mono.items()}
+    first_surveyed = max(4, spec.e_min)
     missing_e = tuple(
         e for e in range(first_surveyed, spec.e_max + 1) if not monogenic_map[e]
     )
@@ -148,6 +139,11 @@ def scan(spec: ScanSpec) -> ScanReport:
         doublets=doublets,
         counterexamples=counterexamples,
     )
+
+
+def scan(spec: ScanSpec) -> ScanReport:
+    """Classify every pair of spec and summarize the records."""
+    return summarize(spec, _run_tasks(scan_tasks(spec), spec.worker_count))
 
 
 def missing_e_census(e_max: int, p_bound: int = 2000, worker_count: int = 1) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from periodeq.reference_table import TABLE_ROWS, ReferenceRow
 from periodeq.scanner import ScanSpec, scan
 
 QUINTIC = "x^5+x^4-4x^3-3x^2+3x+1"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -206,6 +208,23 @@ def test_scan_json(capsys):
     assert report.doublets == (6,)
 
 
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+def test_scan_golden_bytes(capsys, fmt, suffix):
+    code, out, _ = run(
+        capsys,
+        ["scan", "--e-range", "4:6", "--p-bound", "20", "--format", fmt],
+    )
+    assert code == 0
+    assert out == (GOLDEN / f"scan_e4-6_p20.{suffix}").read_text()
+
+
+def test_json_report_of_other_mode_is_rejected():
+    obj = json.loads(report_to_json(make_report()))
+    obj["spec"]["mode"] = "fast-doublet"
+    with pytest.raises(ValueError, match="fast-doublet"):
+        report_from_json(json.dumps(obj))
+
+
 def test_scan_single_e_range(capsys):
     code, out, _ = run(capsys, ["scan", "--e-range", "5", "--p-bound", "20"])
     assert code == 0
@@ -215,6 +234,12 @@ def test_scan_single_e_range(capsys):
 def test_scan_invalid_range(capsys):
     code, _, err = run(capsys, ["scan", "--e-range", "9:4", "--p-bound", "100"])
     assert code == 2
+
+
+def test_scan_e_max_at_or_above_p_bound_exits_2(capsys):
+    code, _, err = run(capsys, ["scan", "--e-range", "4:1000000", "--p-bound", "100"])
+    assert code == 2
+    assert "e_max < p_bound" in err
 
 
 def test_scan_counterexample_exit(monkeypatch, capsys):

@@ -153,25 +153,21 @@ def test_cyclotomic_prime():
 
 
 def test_resultant_fixed_cases():
-    for engine in ("subresultant", "modular"):
-        assert resultant(IntPoly((-2, 1)), IntPoly((-3, 1)), engine=engine) == -1
-        assert resultant(IntPoly((1, 0, 1)), IntPoly((0, 1)), engine=engine) == 1
-        assert resultant(IntPoly((-2, 1)), IntPoly((1, 0, 1)), engine=engine) == 5
-        assert resultant(IntPoly((5,)), IntPoly((1, 2, 3)), engine=engine) == 25
-        # shared root x = 1
-        shared = resultant(
-            IntPoly((-1, 1)) * IntPoly((2, 1)),
-            IntPoly((-1, 1)) * IntPoly((3, 1)),
-            engine=engine,
-        )
-        assert shared == 0
+    assert resultant(IntPoly((-2, 1)), IntPoly((-3, 1))) == -1
+    assert resultant(IntPoly((1, 0, 1)), IntPoly((0, 1))) == 1
+    assert resultant(IntPoly((-2, 1)), IntPoly((1, 0, 1))) == 5
+    assert resultant(IntPoly((5,)), IntPoly((1, 2, 3))) == 25
+    # shared root x = 1
+    shared = resultant(
+        IntPoly((-1, 1)) * IntPoly((2, 1)),
+        IntPoly((-1, 1)) * IntPoly((3, 1)),
+    )
+    assert shared == 0
 
 
 def test_resultant_rejects_zero():
     with pytest.raises(ValueError):
         resultant(IntPoly(()), IntPoly((1, 1)))
-    with pytest.raises(ValueError):
-        resultant(IntPoly((1, 1)), IntPoly((1, 1)), engine="nonsense")
 
 
 @given(nonzero_poly, nonzero_poly)
@@ -179,7 +175,6 @@ def test_resultant_rejects_zero():
 def test_resultant_matches_sylvester_determinant(P, Q):
     want = sylvester_resultant(P, Q)
     assert resultant(P, Q) == want
-    assert resultant(P, Q, engine="modular") == want
 
 
 @given(nonzero_poly, nonzero_poly, nonzero_poly)
@@ -189,8 +184,9 @@ def test_resultant_multiplicative(P, Q, R):
 
 
 def test_engine_agreement_bulk():
+    # the subresultant chain against the Sylvester determinant, degree <= 30
     rng = random.Random(20260814)
-    for _ in range(1000):
+    for _ in range(200):
         dP, dQ = rng.randint(1, 30), rng.randint(1, 30)
         P = IntPoly(
             [rng.randint(-(10**6), 10**6) for _ in range(dP)] + [rng.randint(1, 10**6)]
@@ -198,7 +194,7 @@ def test_engine_agreement_bulk():
         Q = IntPoly(
             [rng.randint(-(10**6), 10**6) for _ in range(dQ)] + [rng.randint(1, 10**6)]
         )
-        assert resultant(P, Q) == resultant(P, Q, engine="modular")
+        assert resultant(P, Q) == sylvester_resultant(P, Q)
 
 
 # -- discriminants ------------------------------------------------------
@@ -233,7 +229,6 @@ def test_discriminant_matches_sylvester_oracle(P):
     r = sylvester_resultant(P, P.derivative())
     want = (-1) ** (n * (n - 1) // 2) * (r // P.lc)
     assert discriminant(P) == want
-    assert discriminant(P, engine="modular") == want
 
 
 # -- signatures ---------------------------------------------------------

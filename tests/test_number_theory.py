@@ -13,7 +13,6 @@ from periodeq.number_theory import (
     make_context,
     primes_in_progression,
     primitive_root,
-    word_prime,
 )
 
 CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265]
@@ -103,7 +102,6 @@ def test_primitive_root_rejects_composites():
 def test_make_context_examples():
     ctx = make_context(5, 2)
     assert (ctx.p, ctx.e, ctx.f, ctx.g) == (11, 5, 2, 2)
-    assert ctx.factors_p_minus_1 == ((2, 1), (5, 1))
 
     ctx = make_context(4, 1)
     assert (ctx.p, ctx.g) == (5, 2)
@@ -118,15 +116,6 @@ def test_make_context_rejects_bad_parameters():
             make_context(e, f)
     with pytest.raises(InvalidContext):
         make_context(1, 1)  # p = 2 has no usable root of unity ring here
-
-
-def test_word_prime_sequence():
-    first = [word_prime(i) for i in range(6)]
-    assert first == sorted(set(first))
-    for q in first:
-        assert q > WORD_PRIME_FLOOR
-        assert sympy.isprime(q)
-    assert first[0] == sympy.nextprime(WORD_PRIME_FLOOR)
 
 
 def test_primes_in_progression():

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from periodeq.intpoly import IntPoly, cyclotomic_prime, resultant
 from periodeq.number_theory import (
@@ -11,11 +9,10 @@ from periodeq.number_theory import (
     primitive_root,
 )
 from periodeq.periods import (
-    CycInt,
-    MismatchedP,
     NonIntegerCoefficient,
+    _exponent_sets,
+    _rotate,
     coefficient_bound,
-    period,
     period_polynomial_exact,
     period_polynomial_modular,
 )
@@ -31,98 +28,50 @@ def all_contexts(p_max):
     return out
 
 
-# -- CycInt --------------------------------------------------------------
-
-
-def test_cycint_validation():
-    with pytest.raises(ValueError):
-        CycInt(2, ())
-    with pytest.raises(ValueError):
-        CycInt(5, (1, 2, 3))  # wrong length
-
-
-def test_root_power_canonical_form():
-    assert CycInt.root_power(5, 0) == CycInt.integer(5, 1)
-    assert CycInt.root_power(5, 4).coeffs == (-1, -1, -1, -1)
-    assert CycInt.root_power(5, 7) == CycInt.root_power(5, 2)
-    assert CycInt.zero(7).coeffs == (0,) * 6
+# -- periods -------------------------------------------------------------
 
 
 def test_root_powers_multiply_by_exponent_addition():
+    # on length-p coordinates over 1, zeta, ..., zeta^(p-1), _rotate(v, b) is zeta^b * v
     for p in (5, 7, 11):
         for a in range(p):
+            unit = [0] * p
+            unit[a] = 1
             for b in range(p):
-                assert CycInt.root_power(p, a) * CycInt.root_power(p, b) == CycInt.root_power(p, a + b)
-
-
-def test_full_root_sum_vanishes():
-    for p in (5, 13):
-        total = CycInt.zero(p)
-        for k in range(p):
-            total = total + CycInt.root_power(p, k)
-        assert total == CycInt.zero(p)
-        assert total.as_int() == 0
-
-
-def test_cycint_ring_ops():
-    a = CycInt.root_power(7, 1) + CycInt.root_power(7, 6)
-    b = CycInt.integer(7, 3)
-    assert (a - a) == CycInt.zero(7)
-    assert (a * b) == (b * a)
-    assert (2 * a) == a + a
-    assert (-a) + a == CycInt.zero(7)
-
-
-def test_cycint_mismatched_p():
-    with pytest.raises(MismatchedP):
-        CycInt.integer(5, 1) + CycInt.integer(7, 1)
-    with pytest.raises(MismatchedP):
-        CycInt.integer(5, 1) * CycInt.integer(7, 1)
-
-
-def test_as_int():
-    assert CycInt.integer(11, -4).as_int() == -4
-    with pytest.raises(NonIntegerCoefficient):
-        CycInt.root_power(11, 3).as_int()
-    assert not CycInt.root_power(11, 3).is_rational_integer()
-
-
-@given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
-def test_cycint_mul_distributes(a, b):
-    p = 11
-    za, zb = CycInt.root_power(p, a), CycInt.root_power(p, b)
-    w = CycInt.root_power(p, 3) + CycInt.integer(p, 2)
-    assert w * (za + zb) == w * za + w * zb
-
-
-# -- periods -------------------------------------------------------------
+                want = [0] * p
+                want[(a + b) % p] = 1
+                assert _rotate(unit, b) == want
 
 
 def test_period_examples_p5():
     ctx = make_context(2, 2)
     assert ctx.p == 5
-    z = lambda k: CycInt.root_power(5, k)
-    assert period(ctx, 0) == z(1) + z(4)
-    assert period(ctx, 1) == z(2) + z(3)
-    with pytest.raises(IndexError):
-        period(ctx, 2)
-    with pytest.raises(IndexError):
-        period(ctx, -1)
+    # eta_0 = zeta + zeta^4, eta_1 = zeta^2 + zeta^3
+    assert _exponent_sets(ctx) == [[1, 4], [2, 3]]
+    assert period_polynomial_exact(ctx).poly == IntPoly((-1, 1, 1))
 
 
 def test_period_sum_is_minus_one():
+    # the periods split the exponents 1 .. p-1, so they sum to
+    # zeta + ... + zeta^(p-1) = -1 and psi has x^(e-1) coefficient 1
     for ctx in all_contexts(60):
-        total = CycInt.zero(ctx.p)
-        for i in range(ctx.e):
-            total = total + period(ctx, i)
-        assert total.as_int() == -1, (ctx.e, ctx.f)
+        exps = _exponent_sets(ctx)
+        assert sorted(a for A in exps for a in A) == list(range(1, ctx.p))
+        assert period_polynomial_exact(ctx).poly[ctx.e - 1] == 1, (ctx.e, ctx.f)
 
 
 def test_f1_periods_are_root_powers():
     ctx = make_context(6, 1)
-    for i in range(6):
-        eta = period(ctx, i)
-        assert eta == CycInt.root_power(7, pow(ctx.g, i, 7))
+    assert _exponent_sets(ctx) == [[pow(ctx.g, i, 7)] for i in range(6)]
+
+
+def test_exact_build_rejects_uncollapsed_coefficients(monkeypatch):
+    import periodeq.periods as periods_mod
+
+    # {1, 2} and {3, 4} are not Galois orbits: (zeta + zeta^2)(zeta^3 + zeta^4) is not rational
+    monkeypatch.setattr(periods_mod, "_exponent_sets", lambda ctx: [[1, 2], [3, 4]])
+    with pytest.raises(NonIntegerCoefficient):
+        period_polynomial_exact(make_context(2, 2))
 
 
 # -- period polynomials ---------------------------------------------------
@@ -177,10 +126,7 @@ def test_result_independent_of_primitive_root():
             and all(pow(g, (p - 1) // q, p) != 1 for q in factorize(p - 1))
         ]
         for g in others[:2]:
-            alt = PrimeContext(
-                p=p, e=ctx.e, f=ctx.f, g=g,
-                factors_p_minus_1=ctx.factors_p_minus_1,
-            )
+            alt = PrimeContext(p=p, e=ctx.e, f=ctx.f, g=g)
             assert period_polynomial_exact(alt).poly == reference, (ctx.e, ctx.f, g)
             assert period_polynomial_modular(alt).poly == reference, (ctx.e, ctx.f, g)
 

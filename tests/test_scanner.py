@@ -18,6 +18,7 @@ from periodeq.scanner import (
     missing_e_census,
     scan,
     scan_tasks,
+    summarize,
 )
 
 
@@ -32,10 +33,8 @@ def test_scan_spec_validation():
         ScanSpec(4, 6, PRIME_TEST_BOUND)
     with pytest.raises(InvalidContext):
         ScanSpec(4, 6, 100, worker_count=0)
-    with pytest.raises(ValueError):
-        ScanSpec(4, 6, 100, mode="bogus")
-    spec = ScanSpec(4, 6, 100, mode="fast-doublet")
-    assert spec.mode is ScanMode.FAST_DOUBLET
+    with pytest.raises(InvalidContext):
+        ScanSpec(4, 100, 100)  # no e >= p_bound has a pair
 
 
 def test_scan_tasks_enumeration():
@@ -55,6 +54,7 @@ def test_small_full_scan_report():
     assert report.counterexamples == ()
     assert keyed[(4, 4)].k == 2 and not keyed[(4, 4)].monogenic
     assert keyed[(6, 2)].match_kind is MatchKind.REDUCED_CYCLOTOMIC
+    assert summarize(report.spec, reversed(report.records)).doublets == (6,)
 
 
 def test_scan_worker_determinism():
@@ -70,13 +70,6 @@ def test_fast_doublet_candidates():
     assert fast_doublet_candidates(4, 40) == [6, 18, 30, 36]
     assert fast_doublet_candidates(2, 40) == [2, 6, 18, 30, 36]
     assert fast_doublet_candidates(7, 17) == []
-
-
-def test_fast_doublet_scan_mode():
-    report = scan(ScanSpec(4, 40, 100, mode=ScanMode.FAST_DOUBLET))
-    assert report.doublets == (6, 18, 30, 36)
-    assert report.records == ()
-    assert report.missing_e == ()
 
 
 def test_doublet_survey_modes_agree():
