@@ -39,6 +39,7 @@ from .number_theory import (
 from .periods import (
     NonIntegerCoefficient,
     PeriodPolynomial,
+    PrimePeriods,
     period_polynomial_exact,
     period_polynomial_modular,
 )

@@ -26,7 +26,7 @@ from .intpoly import (
     discriminant_and_signature,
 )
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
-from .periods import period_polynomial_modular
+from .periods import PrimePeriods
 
 
 class NotDivisible(InternalContradiction):
@@ -120,13 +120,19 @@ def _match_kind(ctx: PrimeContext, psi: IntPoly, monogenic: bool) -> MatchKind:
     return MatchKind.NO_MATCH
 
 
-def classify(ctx: PrimeContext) -> ClassificationRecord:
+def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> ClassificationRecord:
     """Full pipeline for one context: build, discriminate, divide, match.
 
-    The signature is checked against the parity law: the period field is
-    totally real when f is even and totally complex when f is odd.
+    periods, if given, is the shared builder of ctx.p (a scan passes one per
+    p); otherwise a fresh one is made.  The signature is checked against the
+    parity law: the period field is totally real when f is even and totally
+    complex when f is odd.
     """
-    psi = period_polynomial_modular(ctx).poly
+    if periods is None:
+        periods = PrimePeriods(ctx.p, ctx.g)
+    elif periods.p != ctx.p:
+        raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {ctx.p}")
+    psi = periods.polynomial(ctx.e).poly
     disc, sig = discriminant_and_signature(psi)
     delta = field_discriminant(ctx.e, ctx.f, ctx.p)
     k2, k = index_squared(disc, delta)

@@ -1,7 +1,8 @@
 """Surveys over (e, f) space: full classification scans, monogenic censuses,
 doublet detection, and the cubic growth curve.
 
-A work unit is one (e, f) pair.  Results are merged in sorted (e, f) order
+A work unit is one prime p: every (e, f) pair of that p is classified from
+one shared PrimePeriods.  Records are merged back into sorted (e, f) order
 whatever the worker count, so any two runs of the same spec produce
 byte-identical serialized output.
 """
@@ -18,6 +19,7 @@ from enum import Enum
 from .intpoly import NotSquarefree
 from .monogeneity import ClassificationRecord, MatchKind, classify
 from .number_theory import PRIME_TEST_BOUND, InternalContradiction, InvalidContext, is_prime, make_context
+from .periods import PrimePeriods
 
 
 class ScanMode(str, Enum):
@@ -80,21 +82,35 @@ def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
     return tasks
 
 
-def _classify_task(task: tuple[int, int]) -> ClassificationRecord:
-    e, f = task
-    try:
-        return classify(make_context(e, f))
-    except (InternalContradiction, NotSquarefree) as exc:
-        raise ScanFailure(e, f, str(exc)) from exc
+def _classify_group(tasks: list[tuple[int, int]]) -> list[ClassificationRecord]:
+    """Classify pairs that share one p, from one PrimePeriods."""
+    periods = None
+    records = []
+    for e, f in tasks:
+        try:
+            ctx = make_context(e, f)
+            if periods is None:
+                periods = PrimePeriods(ctx.p, ctx.g)
+            records.append(classify(ctx, periods))
+        except (InternalContradiction, NotSquarefree) as exc:
+            raise ScanFailure(e, f, str(exc)) from exc
+    return records
 
 
 def _run_tasks(tasks: list[tuple[int, int]], worker_count: int) -> list[ClassificationRecord]:
-    if worker_count <= 1 or len(tasks) < 2:
-        return [_classify_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * worker_count))
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=worker_count) as pool:
-        return pool.map(_classify_task, tasks, chunksize=chunk)
+    """Classify tasks one p at a time; records come back in tasks' order."""
+    by_p: dict[int, list[tuple[int, int]]] = {}
+    for e, f in tasks:
+        by_p.setdefault(e * f + 1, []).append((e, f))
+    groups = list(by_p.values())
+    if worker_count <= 1 or len(groups) < 2:
+        results = map(_classify_group, groups)
+    else:
+        chunk = max(1, len(groups) // (8 * worker_count))
+        with multiprocessing.get_context().Pool(processes=worker_count) as pool:
+            results = pool.map(_classify_group, groups, chunksize=chunk)
+    by_pair = {(rec.e, rec.f): rec for records in results for rec in records}
+    return [by_pair[task] for task in tasks]
 
 
 def is_counterexample(rec: ClassificationRecord) -> bool:
@@ -164,6 +180,10 @@ def doublet_survey(
     and demands monogenicity plus an actual cyclotomic match.
     """
     mode = ScanMode(mode)
+    if not 1 <= e_min <= e_max:
+        raise InvalidContext(f"need 1 <= e_min <= e_max, got {e_min}..{e_max}")
+    if worker_count < 1:
+        raise InvalidContext(f"worker_count must be >= 1, got {worker_count}")
     candidates = fast_doublet_candidates(e_min, e_max)
     if mode is ScanMode.FAST_DOUBLET:
         return tuple(candidates)

@@ -247,7 +247,7 @@ def test_scan_counterexample_exit(monkeypatch, capsys):
     from periodeq.intpoly import IntPoly, Signature
     from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind
 
-    def fake_classify(ctx):
+    def fake_classify(ctx, periods=None):
         return ClassificationRecord(
             e=ctx.e,
             f=ctx.f,
@@ -297,6 +297,15 @@ def test_doublets_full_mode(capsys):
     code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--mode", "full"])
     assert code == 0
     assert out.splitlines()[0] == "6 18 30 36"
+
+
+def test_doublets_invalid_input_exits_2(capsys):
+    code, _, err = run(capsys, ["doublets", "--e-max", "10", "--mode", "full", "--workers", "-3"])
+    assert code == 2
+    assert "worker_count" in err
+    code, out, err = run(capsys, ["doublets", "--e-max", "10", "--e-min", "50"])
+    assert code == 2
+    assert out == ""
 
 
 def test_cubic_growth_command(capsys):

@@ -1,6 +1,9 @@
 import pickle
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodeq.intpoly import IntPoly, Signature
 from periodeq.monogeneity import (
@@ -14,7 +17,7 @@ from periodeq.monogeneity import (
     index_squared,
 )
 from periodeq.number_theory import InternalContradiction, InvalidContext, is_prime, make_context
-from periodeq.periods import period_polynomial_modular
+from periodeq.periods import PrimePeriods, period_polynomial_modular
 
 
 def contexts_with_p_up_to(p_max, e_fixed=None):
@@ -152,6 +155,21 @@ def test_discriminant_factorization_invariant():
         assert n_real == (ctx.e if ctx.f % 2 == 0 else 0)
 
 
+PAIRS_P_LE_200 = [(ctx.e, ctx.f) for ctx in contexts_with_p_up_to(200)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PAIRS_P_LE_200))
+def test_classify_matches_sympy(pair):
+    rec = classify(make_context(*pair))
+    P = sympy.Poly(list(rec.psi.high_to_low()), sympy.symbols("x"))
+    assert rec.poly_discriminant == sympy.discriminant(P)
+    # psi is squarefree, so its isolating intervals count its real roots;
+    # sympy's continued-fraction isolation takes milliseconds where
+    # count_roots' Sturm chain takes up to 9 s on (66, 3)
+    assert rec.signature.n_real == len(P.intervals())
+
+
 def test_signature_stored_matches_direct_computation():
     from periodeq.intpoly import signature
 
@@ -169,6 +187,13 @@ def test_match_requires_exact_polynomial():
     rec = classify(make_context(8, 2))
     assert rec.match_kind is MatchKind.REDUCED_CYCLOTOMIC
     assert rec.psi == period_polynomial_modular(make_context(8, 2)).poly
+
+
+def test_classify_uses_shared_periods_of_its_own_p():
+    ctx = make_context(6, 3)
+    assert classify(ctx, PrimePeriods(19, 3)) == classify(ctx)
+    with pytest.raises(InvalidContext):
+        classify(ctx, PrimePeriods(13, 2))
 
 
 def test_classify_checks_parity_law(monkeypatch):

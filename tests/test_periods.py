@@ -2,6 +2,9 @@ import pytest
 
 from periodeq.intpoly import IntPoly, cyclotomic_prime, resultant
 from periodeq.number_theory import (
+    PRIME_TEST_BOUND,
+    WORD_PRIME_FLOOR,
+    InvalidContext,
     PrimeContext,
     factorize,
     is_prime,
@@ -10,6 +13,7 @@ from periodeq.number_theory import (
 )
 from periodeq.periods import (
     NonIntegerCoefficient,
+    PrimePeriods,
     _exponent_sets,
     _rotate,
     coefficient_bound,
@@ -150,3 +154,62 @@ def test_deterministic_rebuild():
     ctx = make_context(10, 4)
     assert period_polynomial_modular(ctx) == period_polynomial_modular(ctx)
     assert period_polynomial_exact(ctx) == period_polynomial_exact(ctx)
+
+
+# -- shared per-p build ----------------------------------------------------
+
+
+def _other_primitive_root(p, g):
+    return next(
+        h for h in range(g + 1, p)
+        if all(pow(h, (p - 1) // q, p) != 1 for q in factorize(p - 1))
+    )
+
+
+def test_prime_periods_serve_every_e_up_to_p300():
+    # fresh period_polynomial_modular builds are tied to the exact oracle by
+    # acceptance 07; here one shared PrimePeriods per p must reproduce them
+    for p in filter(is_prime, range(3, 301)):
+        g = primitive_root(p)
+        shared = [PrimePeriods(p, g)]
+        if p > 3:  # 2 is the only primitive root mod 3
+            shared.append(PrimePeriods(p, _other_primitive_root(p, g)))
+        # largest e first, so the smaller ones reuse primes already found
+        for e in sorted((d for d in range(1, p) if (p - 1) % d == 0), reverse=True):
+            ctx = make_context(e, (p - 1) // e)
+            want = period_polynomial_modular(ctx).poly
+            for periods in shared:
+                built = periods.polynomial(e)
+                assert built.poly == want, (e, ctx.f, periods.g)
+                assert built.ctx == PrimeContext(p=p, e=e, f=ctx.f, g=periods.g)
+
+
+def test_prime_periods_crt_primes_step_by_p():
+    for p in (5, 61, 359):
+        want = []
+        q = WORD_PRIME_FLOOR + 1 + (-WORD_PRIME_FLOOR) % p
+        while len(want) < 3:
+            if is_prime(q):
+                want.append(q)
+            q += p
+        periods = PrimePeriods(p, primitive_root(p))
+        for _ in range(3):
+            periods._add_prime()
+        assert periods._primes == want, p
+
+
+def test_prime_periods_validation():
+    with pytest.raises(InvalidContext):
+        PrimePeriods(9, 2)
+    with pytest.raises(InvalidContext):
+        PrimePeriods(2, 1)
+    with pytest.raises(InvalidContext):
+        PrimePeriods(PRIME_TEST_BOUND, 2)
+    # 3 has order 3 mod 13; 0 and 15 are not residues in 1 .. p-1
+    for g in (3, 1, 0, 15):
+        with pytest.raises(InvalidContext):
+            PrimePeriods(13, g)
+    periods = PrimePeriods(13, 2)
+    for e in (5, 0, -1, 24):
+        with pytest.raises(InvalidContext):
+            periods.polynomial(e)

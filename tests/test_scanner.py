@@ -3,8 +3,8 @@ import pickle
 import pytest
 
 from periodeq.intpoly import IntPoly, Signature
-from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind
-from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext
+from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
+from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, make_context
 from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
@@ -58,18 +58,29 @@ def test_small_full_scan_report():
 
 
 def test_scan_worker_determinism():
-    spec1 = ScanSpec(4, 10, 100, worker_count=1)
-    spec2 = ScanSpec(4, 10, 100, worker_count=2)
-    spec8 = ScanSpec(4, 10, 100, worker_count=8)
-    r1, r2, r8 = scan(spec1), scan(spec2), scan(spec8)
-    assert r1.records == r2.records == r8.records
-    assert r1.missing_e == r2.missing_e == r8.missing_e
+    # in the second spec p = 61 serves nine e, all from one PrimePeriods
+    for e_min, e_max, p_bound in ((4, 10, 100), (4, 60, 62)):
+        tasks = scan_tasks(ScanSpec(e_min, e_max, p_bound))
+        r1, r2, r8 = (scan(ScanSpec(e_min, e_max, p_bound, worker_count=w)) for w in (1, 2, 8))
+        assert r1.records == r2.records == r8.records
+        assert r1.missing_e == r2.missing_e == r8.missing_e
+        assert r1.records == tuple(classify(make_context(e, f)) for e, f in tasks)
+    assert [e for e, f in tasks if e * f + 1 == 61] == [4, 5, 6, 10, 12, 15, 20, 30, 60]
 
 
 def test_fast_doublet_candidates():
     assert fast_doublet_candidates(4, 40) == [6, 18, 30, 36]
     assert fast_doublet_candidates(2, 40) == [2, 6, 18, 30, 36]
     assert fast_doublet_candidates(7, 17) == []
+
+
+def test_doublet_survey_rejects_invalid_input():
+    with pytest.raises(InvalidContext):
+        doublet_survey(10, mode=ScanMode.FULL, worker_count=-3)
+    with pytest.raises(InvalidContext):
+        doublet_survey(10, e_min=50)
+    with pytest.raises(InvalidContext):
+        doublet_survey(10, e_min=0)
 
 
 def test_doublet_survey_modes_agree():
@@ -145,7 +156,7 @@ def test_scan_failure_carries_pair():
 def test_scan_propagates_contradictions(monkeypatch):
     import periodeq.scanner as scanner_mod
 
-    def explode(ctx):
+    def explode(ctx, periods=None):
         from periodeq.monogeneity import NotDivisible
 
         raise NotDivisible("forced")
