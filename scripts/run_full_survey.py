@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from periodeq.cli import records_to_csv, report_to_json
@@ -33,20 +32,7 @@ from periodeq.scanner import (
 )
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    e_max: int = 60
-    p_bound: int = 5000
-    census_e_max: int = 100
-    census_p_bound: int = 2000
-    doublet_e_max: int = 10**4
-    cubic_p_bound: int = 10**4
-    workers: int = 1
-    output_dir: Path | None = None
-    write_json: bool = False
-
-
-def parse_args(argv: list[str] | None = None) -> SurveyConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--e-max", type=int, default=60)
     parser.add_argument("--p-bound", type=int, default=5000)
@@ -57,28 +43,17 @@ def parse_args(argv: list[str] | None = None) -> SurveyConfig:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--output-dir", type=Path, default=None)
     parser.add_argument("--json", action="store_true", dest="write_json")
-    ns = parser.parse_args(argv)
-    return SurveyConfig(
-        e_max=ns.e_max,
-        p_bound=ns.p_bound,
-        census_e_max=ns.census_e_max,
-        census_p_bound=ns.census_p_bound,
-        doublet_e_max=ns.doublet_e_max,
-        cubic_p_bound=ns.cubic_p_bound,
-        workers=ns.workers,
-        output_dir=ns.output_dir,
-        write_json=ns.write_json,
-    )
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
 
     t0 = time.monotonic()
-    spec = ScanSpec(e_min=4, e_max=cfg.e_max, p_bound=cfg.p_bound, worker_count=cfg.workers)
+    spec = ScanSpec(e_min=4, e_max=args.e_max, p_bound=args.p_bound, worker_count=args.workers)
     result = scan(spec)
     sweep_seconds = time.monotonic() - t0
-    print(f"sweep: e in [4, {cfg.e_max}], p <= {cfg.p_bound}: "
+    print(f"sweep: e in [4, {args.e_max}], p <= {args.p_bound}: "
           f"{len(result.records)} pairs classified in {sweep_seconds:.1f}s")
     monogenic_total = sum(1 for r in result.records if r.monogenic)
     print(f"sweep: {monogenic_total} monogenic pairs, "
@@ -88,30 +63,30 @@ def main(argv: list[str] | None = None) -> int:
               f"monogenic={rec.monogenic} match={rec.match_kind.value}")
 
     t0 = time.monotonic()
-    missing = missing_e_census(cfg.census_e_max, cfg.census_p_bound)
-    print(f"census: {len(missing)} values of e <= {cfg.census_e_max} admit no monogenic f "
-          f"(searching p <= {cfg.census_p_bound}; {time.monotonic() - t0:.1f}s)")
+    missing = missing_e_census(args.census_e_max, args.census_p_bound)
+    print(f"census: {len(missing)} values of e <= {args.census_e_max} admit no monogenic f "
+          f"(searching p <= {args.census_p_bound}; {time.monotonic() - t0:.1f}s)")
     print(f"census: {' '.join(str(e) for e in missing)}")
 
     t0 = time.monotonic()
-    doublets = doublet_survey(cfg.doublet_e_max, mode=ScanMode.FAST_DOUBLET)
-    print(f"doublets: {len(doublets)} values of e in [4, {cfg.doublet_e_max}] are monogenic "
+    doublets = doublet_survey(args.doublet_e_max, mode=ScanMode.FAST_DOUBLET)
+    print(f"doublets: {len(doublets)} values of e in [4, {args.doublet_e_max}] are monogenic "
           f"for both f=1 and f=2 ({time.monotonic() - t0:.1f}s)")
     print(f"doublets: first 14: {' '.join(str(e) for e in doublets[:14])}")
 
     t0 = time.monotonic()
-    growth = cubic_growth(cfg.cubic_p_bound)
+    growth = cubic_growth(args.cubic_p_bound)
     slope = "undefined" if growth.slope is None else f"{growth.slope:.3f}"
     print(f"cubics: checkpoint counts {growth.checkpoints} "
           f"(log-log slope {slope}; {time.monotonic() - t0:.1f}s)")
 
-    if cfg.output_dir is not None:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = cfg.output_dir / "sweep.csv"
+    if args.output_dir is not None:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = args.output_dir / "sweep.csv"
         csv_path.write_text(records_to_csv(result.records), encoding="utf-8")
         print(f"wrote {csv_path}")
-        if cfg.write_json:
-            json_path = cfg.output_dir / "sweep.json"
+        if args.write_json:
+            json_path = args.output_dir / "sweep.json"
             json_path.write_text(report_to_json(result), encoding="utf-8")
             print(f"wrote {json_path}")
 

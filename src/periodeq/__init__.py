@@ -49,7 +49,6 @@ from .scanner import (
     ScanMode,
     ScanReport,
     ScanSpec,
-    conjecture_check,
     cubic_growth,
     doublet_survey,
     missing_e_census,

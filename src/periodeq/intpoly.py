@@ -11,9 +11,7 @@ exact; nothing here touches floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce as _reduce
 
 from .number_theory import CompositeP, InternalContradiction, is_prime
 
@@ -136,9 +134,6 @@ class IntPoly:
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * v for i, v in enumerate(self.coeffs) if i))
-
-    def content(self) -> int:
-        return _reduce(math.gcd, self.coeffs, 0)
 
     # -- formatting ----------------------------------------------------
 

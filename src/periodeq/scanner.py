@@ -27,7 +27,7 @@ class ScanMode(str, Enum):
     FAST_DOUBLET = "fast-doublet"
 
 
-class ScanFailure(RuntimeError):
+class ScanFailure(InternalContradiction):
     """A hard arithmetic contradiction, tagged with the (e, f) that hit it."""
 
     def __init__(self, e: int, f: int, message: str):
@@ -242,11 +242,3 @@ def cubic_growth(p_bound: int, worker_count: int = 1) -> CubicGrowthReport:
         monogenic_total=len(mono_ps),
         slope=slope,
     )
-
-
-def conjecture_check(
-    e_min: int, e_max: int, p_bound: int, worker_count: int = 1
-) -> tuple[ClassificationRecord, ...]:
-    """Full scan returning only the counterexample records (empty = conjecture holds)."""
-    spec = ScanSpec(e_min=e_min, e_max=e_max, p_bound=p_bound, worker_count=worker_count)
-    return scan(spec).counterexamples

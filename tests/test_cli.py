@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodeq.cli import (
     CSV_HEADER,
@@ -14,10 +16,11 @@ from periodeq.cli import (
     report_to_json,
     verify_reference_rows,
 )
-from periodeq.monogeneity import classify
+from periodeq.intpoly import IntPoly, Signature
+from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
 from periodeq.number_theory import make_context
 from periodeq.reference_table import TABLE_ROWS, ReferenceRow
-from periodeq.scanner import ScanSpec, scan
+from periodeq.scanner import ScanSpec, scan, summarize
 
 QUINTIC = "x^5+x^4-4x^3-3x^2+3x+1"
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,6 +169,135 @@ def test_json_big_integers_as_strings():
     assert d["k"] == "77"
     assert all(isinstance(c, str) for c in d["coeffs"])
     assert record_from_json_dict(d) == rec
+
+
+BIG = 2**200
+
+
+@st.composite
+def records(draw):
+    e = draw(st.integers(1, 12))
+    f = draw(st.integers(1, 10**6))
+    n_real = draw(st.integers(0, e))
+    k = draw(st.integers(-BIG, BIG))
+    coeffs = draw(st.lists(st.integers(-BIG, BIG), min_size=1, max_size=e + 1))
+    delta = FieldDiscriminant(draw(st.sampled_from((-1, 1))), e * f + 1, draw(st.integers(0, e)))
+    return ClassificationRecord(
+        e=e,
+        f=f,
+        p=e * f + 1,
+        g=draw(st.integers(1, e * f)),
+        psi=IntPoly.from_high_to_low(coeffs),
+        poly_discriminant=k * k * delta.value(),
+        field_discriminant=delta,
+        k_squared=k * k,
+        k=k,
+        monogenic=draw(st.booleans()),
+        signature=Signature(n_real=n_real, n_complex_pairs=(e - n_real) // 2),
+        match_kind=draw(st.sampled_from(MatchKind)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(records(), max_size=4))
+def test_fuzz_csv_and_json_round_trip(recs):
+    text = records_to_csv(recs)
+    parsed = parse_csv_records(text)
+    assert parsed == recs
+    assert records_to_csv(parsed) == text
+
+    report = summarize(ScanSpec(1, 12, 10**7), recs)
+    text = report_to_json(report)
+    again = report_from_json(text)
+    assert again.records == tuple(recs)
+    assert report_to_json(again) == text
+
+
+def csv_row(**changes):
+    """The CSV of classify(4, 1) with some fields replaced."""
+    line = records_to_csv([classify(make_context(4, 1))]).splitlines()[1]
+    fields = dict(zip(CSV_HEADER.split(","), line.split(",")))
+    fields.update(changes)
+    return CSV_HEADER + "\n" + ",".join(fields.values()) + "\n"
+
+
+def json_record(**changes):
+    d = record_to_json_dict(classify(make_context(4, 1)))
+    d.update(changes)
+    return d
+
+
+def test_csv_row_helper_parses():
+    assert parse_csv_records(csv_row()) == [classify(make_context(4, 1))]
+
+
+@pytest.mark.parametrize("count", [10, 11, 13])
+def test_csv_row_with_wrong_field_count_is_rejected(count):
+    row = (csv_row().splitlines()[1].split(",") * 2)[:count]
+    with pytest.raises(ValueError, match=f"line 2 has {count} fields"):
+        parse_csv_records(CSV_HEADER + "\n" + ",".join(row) + "\n")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("e", 4.5), ("p", True), ("k", "4.5"), ("k_squared", "0x10"), ("g", None)]
+)
+def test_json_non_integer_field_is_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        record_from_json_dict(json_record(**{field: value}))
+
+
+@pytest.mark.parametrize("coeff", [1.5, "x", "", "1 0", True])
+def test_json_non_integer_coefficient_is_rejected(coeff):
+    with pytest.raises(ValueError, match="coeffs"):
+        record_from_json_dict(json_record(coeffs=["1", coeff]))
+
+
+@pytest.mark.parametrize("field", ["e", "n_real", "k"])
+def test_csv_non_integer_field_is_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        parse_csv_records(csv_row(**{field: "4.5"}))
+
+
+def test_json_decimal_string_is_read_as_int():
+    assert record_from_json_dict(json_record(p="5", e="4", k=1)) == classify(make_context(4, 1))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_json_monogenic_must_be_a_boolean(value):
+    with pytest.raises(ValueError, match="monogenic"):
+        record_from_json_dict(json_record(monogenic=value))
+    obj = json.loads(report_to_json(make_report()))
+    obj["records"][0]["monogenic"] = value
+    with pytest.raises(ValueError, match="monogenic"):
+        report_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", ["True", "yes", "1", ""])
+def test_csv_monogenic_must_be_true_or_false(value):
+    with pytest.raises(ValueError, match="monogenic"):
+        parse_csv_records(csv_row(monogenic=value))
+
+
+@pytest.mark.parametrize("value", ["cyclotomic", "DIRECT", "", None])
+def test_unknown_match_kind_is_rejected(value):
+    with pytest.raises(ValueError, match="MatchKind"):
+        record_from_json_dict(json_record(match_kind=value))
+    if value is not None:
+        with pytest.raises(ValueError, match="MatchKind"):
+            parse_csv_records(csv_row(match_kind=value))
+
+
+def test_json_record_of_wrong_shape_is_rejected():
+    d = json_record()
+    del d["k"]
+    with pytest.raises(ValueError, match="exactly the fields"):
+        record_from_json_dict(d)
+    with pytest.raises(ValueError, match="exactly the fields"):
+        record_from_json_dict(json_record(poly_discriminant="0"))
+    with pytest.raises(ValueError, match="exactly the fields"):
+        record_from_json_dict([])
+    with pytest.raises(ValueError, match="coeffs a list"):
+        record_from_json_dict(json_record(coeffs="1 1 1 1 1"))
 
 
 # -- scan command ----------------------------------------------------------

@@ -10,7 +10,6 @@ from periodeq.scanner import (
     ScanFailure,
     ScanMode,
     ScanSpec,
-    conjecture_check,
     cubic_growth,
     doublet_survey,
     fast_doublet_candidates,
@@ -125,10 +124,6 @@ def test_counterexample_predicate():
     # below the surveyed range nothing counts
     assert not is_counterexample(_record(3, 4, True, MatchKind.NO_MATCH))
     assert not is_counterexample(_record(2, 3, True, MatchKind.NO_MATCH))
-
-
-def test_conjecture_check_small():
-    assert conjecture_check(4, 10, 200) == ()
 
 
 def test_cubic_growth_small():
