@@ -23,7 +23,9 @@ from .monogeneity import (
     NotDivisible,
     NotPerfectSquare,
     classify,
+    discriminant_residue,
     field_discriminant,
+    index_certificate,
     index_squared,
 )
 from .number_theory import (

@@ -149,14 +149,14 @@ def report_to_json(report: ScanReport) -> str:
 
 
 def report_from_json(text: str) -> ScanReport:
+    """Read a scan report back; a malformed spec or record list raises ValueError."""
     obj = json.loads(text)
-    if obj["spec"]["mode"] != "full":
-        raise ValueError(f"cannot read a scan report of mode {obj['spec']['mode']!r}")
-    spec = ScanSpec(
-        e_min=obj["spec"]["e_min"],
-        e_max=obj["spec"]["e_max"],
-        p_bound=obj["spec"]["p_bound"],
-    )
+    spec = obj.get("spec") if isinstance(obj, dict) else None
+    if not isinstance(spec, dict) or type(obj.get("records")) is not list:
+        raise ValueError("a scan report needs a spec object and a records list")
+    if spec.get("mode") != "full":
+        raise ValueError(f"cannot read a scan report of mode {spec.get('mode')!r}")
+    spec = ScanSpec(**{k: _wire_int(k, spec.get(k)) for k in ("e_min", "e_max", "p_bound")})
     return summarize(spec, (record_from_json_dict(d) for d in obj["records"]))
 
 

@@ -10,6 +10,13 @@ delta and an integer index k >= 1; the period polynomial is monogenic
 Each monogenic case with e >= 4 is checked against the two known
 cyclotomic shapes: psi equal to 1 + x + ... + x^(p-1) when f == 1, and
 psi unfolding to it under x + 1/x when p == 2e + 1.
+
+k == 1 forces D == delta, so one prime q with D mod q != delta mod q
+proves k != 1 (index_certificate).  D mod q is the product of the squared
+period differences modulo the first CRT prime of PrimePeriods, O(e^2)
+products and no remainder sequence; the surveys that only count monogenic
+pairs run the exact pipeline (classify) only where no such prime is found.
+Every k == 1 is still decided by classify.
 """
 
 from __future__ import annotations
@@ -57,12 +64,15 @@ class FieldDiscriminant:
         return self.sign * self.p**self.exponent
 
 
+def _delta_sign(e: int, f: int) -> int:
+    return -1 if ((e - 1) % 4 == 1 and f % 2 == 1) else 1
+
+
 def field_discriminant(e: int, f: int, p: int) -> FieldDiscriminant:
     """Field discriminant of the degree-e period subfield for p = e*f + 1."""
     if e < 1 or f < 1 or p != e * f + 1 or not is_prime(p):
         raise InvalidContext(f"(e={e}, f={f}, p={p}) is not a valid period context")
-    sign = -1 if ((e - 1) % 4 == 1 and f % 2 == 1) else 1
-    return FieldDiscriminant(sign=sign, p=p, exponent=e - 1)
+    return FieldDiscriminant(sign=_delta_sign(e, f), p=p, exponent=e - 1)
 
 
 def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
@@ -88,6 +98,35 @@ def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
     if k * k != k2:
         raise NotPerfectSquare(f"discriminant quotient {k2} is not a square")
     return k2, k
+
+
+def discriminant_residue(periods: PrimePeriods, e: int) -> int:
+    """D mod q for psi_e of periods.p, q = periods.residue_prime: the product
+    of (eta_i - eta_j)^2 over i < j, taken on the period residues mod q."""
+    q = periods.residue_prime
+    etas = periods.period_residues(e)
+    d = 1
+    for i, a in enumerate(etas):
+        for b in etas[i + 1:]:
+            d = d * (a - b) % q
+    return d * d % q
+
+
+def index_certificate(periods: PrimePeriods, e: int) -> int | None:
+    """The prime q that proves k != 1 for psi_e of periods.p, or None.
+
+    k == 1 means D == delta, so D mod q != delta mod q is a proof that
+    k != 1; None says nothing either way, and only classify decides such a
+    pair.  D * delta^-1 is k^2 mod q, so a nonzero non-residue there breaks
+    D = k^2 * delta and raises InternalContradiction.
+    """
+    q, p = periods.residue_prime, periods.p
+    d = discriminant_residue(periods, e)
+    delta = _delta_sign(e, (p - 1) // e) * pow(p, e - 1, q) % q
+    k2 = d * pow(delta, -1, q) % q
+    if k2 and pow(k2, (q - 1) // 2, q) != 1:
+        raise InternalContradiction(f"D / delta mod {q} is not a square")
+    return q if d != delta else None
 
 
 @dataclass(frozen=True)

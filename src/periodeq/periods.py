@@ -9,6 +9,9 @@ with CRT reconstruction against a proven coefficient bound.  The modular
 one is organised by p: one PrimePeriods finds the CRT primes and the
 root-of-unity tables of p once and builds psi_e for every e | p - 1 from
 them, so a survey that visits many e of one p pays for those tables once.
+The same tables give the periods modulo the first CRT prime without any
+reconstruction (period_residues), which is all a monogenicity certificate
+needs.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ class PrimePeriods:
     its coefficient bound (the product of moduli must exceed twice the
     bound), so the reconstruction is deterministic, with no early
     termination to get lucky on; primes are added lazily as larger e ask.
+    The first prime also serves period_residues, the periods mod q alone.
     """
 
     def __init__(self, p: int, g: int):
@@ -170,10 +174,31 @@ class PrimePeriods:
             prod = [(a - eta * b) % q for a, b in zip([0, *prod], [*prod, 0])]
         return prod
 
-    def polynomial(self, e: int) -> PeriodPolynomial:
-        """psi_e for a divisor e of p - 1, reconstructed by CRT from the shared primes."""
+    def _check_divisor(self, e: int) -> None:
         if e < 1 or (self.p - 1) % e:
             raise InvalidContext(f"e = {e} does not divide p - 1 = {self.p - 1}")
+
+    @property
+    def residue_prime(self) -> int:
+        """The first CRT prime q, the modulus of period_residues."""
+        if not self._primes:
+            self._add_prime()
+        return self._primes[0]
+
+    def period_residues(self, e: int) -> list[int]:
+        """[eta_0, ..., eta_(e-1)] modulo q = residue_prime, for e | p - 1.
+
+        The images come from the ring map Z[zeta] -> GF(q) that sends zeta to
+        w, so any integer polynomial in the periods (psi_e's coefficients,
+        its discriminant) reduces mod q to the same polynomial in them.
+        """
+        self._check_divisor(e)
+        q, ys = self.residue_prime, self._ys[0]
+        return [sum(ys[i::e]) % q for i in range(e)]
+
+    def polynomial(self, e: int) -> PeriodPolynomial:
+        """psi_e for a divisor e of p - 1, reconstructed by CRT from the shared primes."""
+        self._check_divisor(e)
         ctx = PrimeContext(p=self.p, e=e, f=(self.p - 1) // e, g=self.g)
         target = 2 * coefficient_bound(ctx)
         n = 0

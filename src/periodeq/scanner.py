@@ -1,10 +1,16 @@
 """Surveys over (e, f) space: full classification scans, monogenic censuses,
 doublet detection, and the cubic growth curve.
 
-A work unit is one prime p: every (e, f) pair of that p is classified from
-one shared PrimePeriods.  Records are merged back into sorted (e, f) order
+A work unit is one prime p: every (e, f) pair of that p is handled from
+one shared PrimePeriods.  Results are merged back into the tasks' order
 whatever the worker count, so any two runs of the same spec produce
 byte-identical serialized output.
+
+scan classifies every pair exactly and keeps every record.  The census,
+the full doublet survey and the cubic counts need only which pairs are
+monogenic: they take index_certificate's proof of k != 1 where it exists
+and classify the other pairs, whose exact D is checked against the residue
+the certificate computed.
 """
 
 from __future__ import annotations
@@ -17,8 +23,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .intpoly import NotSquarefree
-from .monogeneity import ClassificationRecord, MatchKind, classify
-from .number_theory import PRIME_TEST_BOUND, InternalContradiction, InvalidContext, is_prime, make_context
+from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
+from .number_theory import (
+    PRIME_TEST_BOUND,
+    InternalContradiction,
+    InvalidContext,
+    PrimeContext,
+    is_prime,
+    make_context,
+)
 from .periods import PrimePeriods
 
 
@@ -82,35 +95,67 @@ def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
     return tasks
 
 
-def _classify_group(tasks: list[tuple[int, int]]) -> list[ClassificationRecord]:
-    """Classify pairs that share one p, from one PrimePeriods."""
+def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
+    """step(ctx, periods) for pairs that share one p, from one PrimePeriods;
+    a contradiction is tagged with the pair that hit it."""
     periods = None
-    records = []
+    out = []
     for e, f in tasks:
         try:
             ctx = make_context(e, f)
             if periods is None:
                 periods = PrimePeriods(ctx.p, ctx.g)
-            records.append(classify(ctx, periods))
+            out.append(step(ctx, periods))
         except (InternalContradiction, NotSquarefree) as exc:
             raise ScanFailure(e, f, str(exc)) from exc
-    return records
+    return out
 
 
-def _run_tasks(tasks: list[tuple[int, int]], worker_count: int) -> list[ClassificationRecord]:
-    """Classify tasks one p at a time; records come back in tasks' order."""
+def _classify_group(tasks: list[tuple[int, int]]) -> list[ClassificationRecord]:
+    """Classify pairs that share one p."""
+    return _per_pair(classify, tasks)
+
+
+def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods) -> ClassificationRecord | None:
+    """None if index_certificate proves k != 1, else classify's record."""
+    if index_certificate(periods, ctx.e) is not None:
+        return None
+    rec = classify(ctx, periods)
+    # without a certificate the residue product equals delta mod q, and the
+    # exact D must agree with it
+    q = periods.residue_prime
+    if rec.poly_discriminant % q != rec.field_discriminant.value() % q:
+        raise InternalContradiction(f"exact D differs from its residue product mod {q}")
+    return rec
+
+
+def _certify_group(tasks: list[tuple[int, int]]) -> list[ClassificationRecord | None]:
+    """For pairs that share one p: None where a certificate proves k != 1,
+    else the exact record."""
+    return _per_pair(_classify_uncertified, tasks)
+
+
+def _run_tasks(group, tasks: list[tuple[int, int]], worker_count: int) -> list:
+    """Run group on tasks one p at a time; results come back in tasks' order."""
     by_p: dict[int, list[tuple[int, int]]] = {}
     for e, f in tasks:
         by_p.setdefault(e * f + 1, []).append((e, f))
     groups = list(by_p.values())
     if worker_count <= 1 or len(groups) < 2:
-        results = map(_classify_group, groups)
+        results = map(group, groups)
     else:
         chunk = max(1, len(groups) // (8 * worker_count))
         with multiprocessing.get_context().Pool(processes=worker_count) as pool:
-            results = pool.map(_classify_group, groups, chunksize=chunk)
-    by_pair = {(rec.e, rec.f): rec for records in results for rec in records}
+            results = pool.map(group, groups, chunksize=chunk)
+    by_pair = {task: out for grp, outs in zip(groups, results) for task, out in zip(grp, outs)}
     return [by_pair[task] for task in tasks]
+
+
+def _monogenic_records(tasks: list[tuple[int, int]], worker_count: int) -> list[ClassificationRecord]:
+    """The exact records of the monogenic pairs among tasks; every other
+    pair is proven non-monogenic, by certificate or by classify."""
+    results = _run_tasks(_certify_group, tasks, worker_count)
+    return [rec for rec in results if rec is not None and rec.monogenic]
 
 
 def is_counterexample(rec: ClassificationRecord) -> bool:
@@ -159,13 +204,14 @@ def summarize(spec: ScanSpec, records) -> ScanReport:
 
 def scan(spec: ScanSpec) -> ScanReport:
     """Classify every pair of spec and summarize the records."""
-    return summarize(spec, _run_tasks(scan_tasks(spec), spec.worker_count))
+    return summarize(spec, _run_tasks(_classify_group, scan_tasks(spec), spec.worker_count))
 
 
 def missing_e_census(e_max: int, p_bound: int = 2000, worker_count: int = 1) -> tuple[int, ...]:
     """e in [4, e_max] for which no f with e*f + 1 = p <= p_bound is monogenic."""
     spec = ScanSpec(e_min=4, e_max=e_max, p_bound=p_bound, worker_count=worker_count)
-    return scan(spec).missing_e
+    mono_e = {rec.e for rec in _monogenic_records(scan_tasks(spec), worker_count)}
+    return tuple(e for e in range(4, e_max + 1) if e not in mono_e)
 
 
 def doublet_survey(
@@ -176,8 +222,9 @@ def doublet_survey(
 ) -> tuple[int, ...]:
     """Doublets (f=1 and f=2 both monogenic) for e in [e_min, e_max].
 
-    Fast mode uses the primality shortcut; full mode classifies both pairs
-    and demands monogenicity plus an actual cyclotomic match.
+    Fast mode uses the primality shortcut; full mode decides both pairs
+    (a certificate of k != 1, else classify) and demands monogenicity plus an
+    actual cyclotomic match.
     """
     mode = ScanMode(mode)
     if not 1 <= e_min <= e_max:
@@ -188,19 +235,13 @@ def doublet_survey(
     if mode is ScanMode.FAST_DOUBLET:
         return tuple(candidates)
     tasks = [(e, f) for e in candidates for f in (1, 2)]
-    records = _run_tasks(tasks, worker_count)
-    by_pair = {(rec.e, rec.f): rec for rec in records}
-    out = []
-    for e in candidates:
-        r1, r2 = by_pair[(e, 1)], by_pair[(e, 2)]
-        if (
-            r1.monogenic
-            and r2.monogenic
-            and r1.match_kind is MatchKind.DIRECT_CYCLOTOMIC
-            and r2.match_kind is MatchKind.REDUCED_CYCLOTOMIC
-        ):
-            out.append(e)
-    return tuple(out)
+    kinds = {(rec.e, rec.f): rec.match_kind for rec in _monogenic_records(tasks, worker_count)}
+    return tuple(
+        e
+        for e in candidates
+        if kinds.get((e, 1)) is MatchKind.DIRECT_CYCLOTOMIC
+        and kinds.get((e, 2)) is MatchKind.REDUCED_CYCLOTOMIC
+    )
 
 
 @dataclass
@@ -219,8 +260,8 @@ def cubic_growth(p_bound: int, worker_count: int = 1) -> CubicGrowthReport:
     """Count monogenic cubic cases (e = 3, p = 3f + 1 <= p_bound) at
     checkpoint bounds 100, 1000, ... and fit log10(count) vs log10(bound)."""
     spec = ScanSpec(e_min=3, e_max=3, p_bound=p_bound, worker_count=worker_count)
-    report = scan(spec)
-    mono_ps = sorted(rec.p for rec in report.records if rec.monogenic)
+    tasks = scan_tasks(spec)
+    mono_ps = sorted(rec.p for rec in _monogenic_records(tasks, worker_count))
     bounds = []
     b = 100
     while b < p_bound:
@@ -238,7 +279,7 @@ def cubic_growth(p_bound: int, worker_count: int = 1) -> CubicGrowthReport:
     return CubicGrowthReport(
         p_bound=p_bound,
         checkpoints=checkpoints,
-        total_pairs=len(report.records),
+        total_pairs=len(tasks),
         monogenic_total=len(mono_ps),
         slope=slope,
     )

@@ -201,3 +201,22 @@ def test_11_worker_count_does_not_change_bytes(sweep_one_worker):
         csv_w1 == csv_w8,
         "sweep rerun with 1 and 8 workers serializes to byte-identical CSV",
     )
+
+
+def test_12_census_reaches_the_papers_degree_250():
+    # e has a monogenic psi_e exactly when f = 1 or f = 2 gives a prime
+    # p = e*f + 1 within the bound (the paper's theorem, shown for e <= 250)
+    t0 = time.monotonic()
+    missing = missing_e_census(250, 503)
+    elapsed = time.monotonic() - t0
+    want = tuple(
+        e for e in range(4, 251)
+        if not any(e * f + 1 <= 503 and is_prime(e * f + 1) for f in (1, 2))
+    )
+    ok = missing == want and elapsed < 30
+    report(
+        12,
+        ok,
+        f"census of e <= 250 (p <= 503) misses exactly the {len(want)} e with neither "
+        f"e + 1 nor 2e + 1 a prime ({elapsed:.1f}s < 30s)",
+    )

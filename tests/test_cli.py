@@ -357,6 +357,37 @@ def test_json_report_of_other_mode_is_rejected():
         report_from_json(json.dumps(obj))
 
 
+def test_json_report_spec_integers_are_wire_integers():
+    obj = json.loads(report_to_json(make_report()))
+    obj["spec"]["e_min"] = "4"  # a decimal string reads as 4, as in a record
+    assert report_from_json(json.dumps(obj)).spec == make_report().spec
+    for value in ("four", 4.5, None, True, [4]):
+        obj["spec"]["e_min"] = value
+        with pytest.raises(ValueError, match="e_min"):
+            report_from_json(json.dumps(obj))
+    obj["spec"]["e_min"] = 4
+    del obj["spec"]["p_bound"]
+    with pytest.raises(ValueError, match="p_bound"):
+        report_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("records", ["missing", None, {}, "[]"])
+def test_json_report_needs_a_records_list(records):
+    obj = json.loads(report_to_json(make_report()))
+    if records == "missing":
+        del obj["records"]
+    else:
+        obj["records"] = records
+    with pytest.raises(ValueError, match="records list"):
+        report_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '{"records": []}', '{"spec": 4, "records": []}'])
+def test_json_report_needs_a_spec_object(text):
+    with pytest.raises(ValueError, match="spec object"):
+        report_from_json(text)
+
+
 def test_scan_single_e_range(capsys):
     code, out, _ = run(capsys, ["scan", "--e-range", "5", "--p-bound", "20"])
     assert code == 0
@@ -429,6 +460,22 @@ def test_doublets_full_mode(capsys):
     code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--mode", "full"])
     assert code == 0
     assert out.splitlines()[0] == "6 18 30 36"
+
+
+def test_doublets_full_mode_exits_4_on_a_residue_mismatch(monkeypatch, capsys):
+    import dataclasses
+
+    import periodeq.scanner as scanner_mod
+
+    def shifted(ctx, periods=None):
+        rec = classify(ctx, periods)
+        return dataclasses.replace(rec, poly_discriminant=rec.poly_discriminant + 1)
+
+    monkeypatch.setattr(scanner_mod, "classify", shifted)
+    code, out, err = run(capsys, ["doublets", "--e-max", "40", "--mode", "full"])
+    assert code == 4
+    assert out == ""
+    assert "(e=6, f=1)" in err and "residue" in err
 
 
 def test_doublets_invalid_input_exits_2(capsys):

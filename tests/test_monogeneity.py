@@ -13,7 +13,9 @@ from periodeq.monogeneity import (
     NotDivisible,
     NotPerfectSquare,
     classify,
+    discriminant_residue,
     field_discriminant,
+    index_certificate,
     index_squared,
 )
 from periodeq.number_theory import InternalContradiction, InvalidContext, is_prime, make_context
@@ -208,3 +210,41 @@ def test_classify_checks_parity_law(monkeypatch):
     monkeypatch.setattr(mono_mod, "discriminant_and_signature", wrong_signature)
     with pytest.raises(InternalContradiction, match="parity law"):
         classify(make_context(4, 4))
+
+
+# -- certificate of k != 1 -------------------------------------------------
+
+
+def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
+    shared: dict[int, PrimePeriods] = {}
+    certified = 0
+    contexts = contexts_with_p_up_to(300)
+    for ctx in contexts:
+        if ctx.p not in shared:
+            shared[ctx.p] = PrimePeriods(ctx.p, ctx.g)
+        periods = shared[ctx.p]
+        rec = classify(ctx, periods)
+        q = periods.residue_prime
+        assert discriminant_residue(periods, ctx.e) == rec.poly_discriminant % q, (ctx.e, ctx.f)
+        cert = index_certificate(periods, ctx.e)
+        # never a certificate for k = 1, and a fallback only for k = 1
+        assert (cert is None) == (rec.k == 1), (ctx.e, ctx.f, rec.k)
+        assert cert in (None, q)
+        certified += cert is not None
+    assert len(contexts) == 514 and certified > 0
+
+
+def test_index_certificate_checks_that_d_over_delta_is_a_square(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+
+    periods = PrimePeriods(17, 3)
+    q = periods.residue_prime
+    delta = pow(17, 3, q)  # (e, f) = (4, 4): delta = +17^3, k = 2
+    assert index_certificate(periods, 4) == q
+    non_residue = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
+    for ratio, want in ((4, q), (1, None)):
+        monkeypatch.setattr(mono_mod, "discriminant_residue", lambda per, e: ratio * delta % q)
+        assert index_certificate(periods, 4) == want
+    monkeypatch.setattr(mono_mod, "discriminant_residue", lambda per, e: non_residue * delta % q)
+    with pytest.raises(InternalContradiction, match="not a square"):
+        index_certificate(periods, 4)

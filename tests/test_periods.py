@@ -213,3 +213,20 @@ def test_prime_periods_validation():
     for e in (5, 0, -1, 24):
         with pytest.raises(InvalidContext):
             periods.polynomial(e)
+
+
+def test_period_residues_are_the_roots_of_psi_mod_q():
+    for p in (13, 61, 359):
+        periods = PrimePeriods(p, primitive_root(p))
+        q = periods.residue_prime
+        assert q % p == 1 and is_prime(q)
+        for e in (d for d in range(1, p) if (p - 1) % d == 0):
+            etas = periods.period_residues(e)
+            psi = periods.polynomial(e).poly
+            assert len(etas) == e and sum(etas) % q == q - 1  # the periods sum to -1
+            for eta in etas:
+                assert sum(c * pow(eta, j, q) for j, c in enumerate(psi.coeffs)) % q == 0, (p, e)
+        assert periods.residue_prime == q
+    for e in (5, 0, -1, 24):
+        with pytest.raises(InvalidContext):
+            PrimePeriods(13, 2).period_residues(e)

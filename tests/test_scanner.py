@@ -1,4 +1,6 @@
+import math
 import pickle
+import statistics
 
 import pytest
 
@@ -160,3 +162,58 @@ def test_scan_propagates_contradictions(monkeypatch):
     with pytest.raises(ScanFailure) as info:
         scan(ScanSpec(5, 5, 12))
     assert (info.value.e, info.value.f) == (5, 2)
+
+
+def _shift_discriminant(monkeypatch, pair):
+    """Make scanner's classify return a D one off the exact one for pair."""
+    import dataclasses
+
+    import periodeq.scanner as scanner_mod
+
+    def shifted(ctx, periods=None):
+        rec = classify(ctx, periods)
+        if (rec.e, rec.f) == pair:
+            rec = dataclasses.replace(rec, poly_discriminant=rec.poly_discriminant + 1)
+        return rec
+
+    monkeypatch.setattr(scanner_mod, "classify", shifted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_summary_paths_equal_what_scan_records_give(workers):
+    # census and full doublets against one scan, which holds every (e, 1)
+    # and (e, 2) with e <= 40
+    report = scan(ScanSpec(4, 40, 400, worker_count=workers))
+    assert missing_e_census(40, 400, worker_count=workers) == report.missing_e
+    assert missing_e_census(40, 82, worker_count=workers) == scan(ScanSpec(4, 40, 82)).missing_e
+    kinds = {(r.e, r.f): r.match_kind for r in report.records if r.monogenic}
+    want = tuple(
+        e
+        for e in range(4, 41)
+        if kinds.get((e, 1)) is MatchKind.DIRECT_CYCLOTOMIC
+        and kinds.get((e, 2)) is MatchKind.REDUCED_CYCLOTOMIC
+    )
+    assert doublet_survey(40, mode=ScanMode.FULL, worker_count=workers) == want == (6, 18, 30, 36)
+    assert doublet_survey(40, mode=ScanMode.FULL, e_min=10, worker_count=workers) == (18, 30, 36)
+
+    cubics = scan(ScanSpec(3, 3, 2000, worker_count=workers)).records
+    growth = cubic_growth(2000, worker_count=workers)
+    mono_ps = [r.p for r in cubics if r.monogenic]
+    checkpoints = tuple((b, sum(p <= b for p in mono_ps)) for b in (100, 1000, 2000))
+    assert growth.checkpoints == checkpoints
+    assert (growth.total_pairs, growth.monogenic_total) == (len(cubics), len(mono_ps))
+    xs, ys = zip(*((math.log10(b), math.log10(c)) for b, c in checkpoints))
+    assert growth.slope == statistics.linear_regression(xs, ys).slope
+
+
+def test_summary_paths_check_exact_d_against_the_residue(monkeypatch):
+    # (6, 1) has k = 1, so no certificate: classify runs and its D is checked
+    _shift_discriminant(monkeypatch, (6, 1))
+    for survey in (
+        lambda: missing_e_census(8, 20),
+        lambda: doublet_survey(10, mode=ScanMode.FULL),
+    ):
+        with pytest.raises(ScanFailure, match="residue") as info:
+            survey()
+        assert (info.value.e, info.value.f) == (6, 1)
+    assert scan(ScanSpec(6, 6, 8)).records[0].poly_discriminant == -(7**5) + 1
