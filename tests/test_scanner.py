@@ -164,21 +164,6 @@ def test_scan_propagates_contradictions(monkeypatch):
     assert (info.value.e, info.value.f) == (5, 2)
 
 
-def _shift_discriminant(monkeypatch, pair):
-    """Make scanner's classify return a D one off the exact one for pair."""
-    import dataclasses
-
-    import periodeq.scanner as scanner_mod
-
-    def shifted(ctx, periods=None):
-        rec = classify(ctx, periods)
-        if (rec.e, rec.f) == pair:
-            rec = dataclasses.replace(rec, poly_discriminant=rec.poly_discriminant + 1)
-        return rec
-
-    monkeypatch.setattr(scanner_mod, "classify", shifted)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_summary_paths_equal_what_scan_records_give(workers):
     # census and full doublets against one scan, which holds every (e, 1)
@@ -207,13 +192,23 @@ def test_summary_paths_equal_what_scan_records_give(workers):
 
 
 def test_summary_paths_check_exact_d_against_the_residue(monkeypatch):
-    # (6, 1) has k = 1, so no certificate: classify runs and its D is checked
-    _shift_discriminant(monkeypatch, (6, 1))
-    for survey in (
-        lambda: missing_e_census(8, 20),
-        lambda: doublet_survey(10, mode=ScanMode.FULL),
+    import dataclasses
+
+    import periodeq.scanner as scanner_mod
+
+    def shifted(ctx, periods=None):
+        rec = classify(ctx, periods)
+        return dataclasses.replace(rec, poly_discriminant=rec.poly_discriminant + 1)
+
+    monkeypatch.setattr(scanner_mod, "classify", shifted)
+    # each survey's first pair without a certificate (k = 1) is classified,
+    # and its D is checked against the residue there
+    for survey, pair in (
+        (lambda: missing_e_census(8, 20), (4, 1)),
+        (lambda: doublet_survey(10, mode=ScanMode.FULL), (6, 1)),
+        (lambda: cubic_growth(20), (3, 2)),
     ):
         with pytest.raises(ScanFailure, match="residue") as info:
             survey()
-        assert (info.value.e, info.value.f) == (6, 1)
+        assert (info.value.e, info.value.f) == pair
     assert scan(ScanSpec(6, 6, 8)).records[0].poly_discriminant == -(7**5) + 1
