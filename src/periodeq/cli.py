@@ -8,7 +8,8 @@ CSV_HEADER order, and read back only by record_from_json_dict; CSV respells
 monogenic as true/false and packs the coefficient vector, highest degree
 first, into one space-separated quoted field.  Integers that can exceed 64
 bits (k, k^2, coefficients) are decimal strings in JSON.  Both formats
-round-trip byte for byte, and a malformed record raises ValueError.
+round-trip byte for byte, and a malformed or self-contradictory record
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -78,15 +79,26 @@ def _wire_int(name: str, v) -> int:
 
 
 def record_from_json_dict(d: dict) -> ClassificationRecord:
-    """Build a record from its wire fields; a malformed field raises ValueError."""
+    """Build a record from its wire fields; a malformed field, or fields that
+    contradict each other, raise ValueError."""
     if not isinstance(d, dict) or d.keys() != set(_FIELDS) or type(d["coeffs"]) is not list:
         raise ValueError(f"a record needs exactly the fields {CSV_HEADER}, with coeffs a list")
     if type(d["monogenic"]) is not bool:
         raise ValueError(f"monogenic must be a boolean, got {d['monogenic']!r}")
     n = {k: _wire_int(k, v) for k, v in d.items() if k not in ("monogenic", "match_kind", "coeffs")}
+    e, k, n_real = n["e"], n["k"], n["n_real"]
+    for holds, rule in (
+        (n["p"] == e * n["f"] + 1, "p = e*f + 1"),
+        (k >= 1, "k >= 1"),
+        (k * k == n["k_squared"], "k^2 = k_squared"),
+        (d["monogenic"] == (k == 1), "monogenic iff k = 1"),
+        (0 <= n_real <= e and (e - n_real) % 2 == 0, "0 <= n_real <= e with e - n_real even"),
+    ):
+        if not holds:
+            raise ValueError(f"record (e={e}, f={n['f']}) breaks {rule}")
     delta = FieldDiscriminant(sign=n["delta_sign"], p=n["p"], exponent=n["delta_exponent"])
     return ClassificationRecord(
-        e=n["e"],
+        e=e,
         f=n["f"],
         p=n["p"],
         g=n["g"],
@@ -94,9 +106,9 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
         poly_discriminant=n["k_squared"] * delta.value(),
         field_discriminant=delta,
         k_squared=n["k_squared"],
-        k=n["k"],
+        k=k,
         monogenic=d["monogenic"],
-        signature=Signature(n_real=n["n_real"], n_complex_pairs=(n["e"] - n["n_real"]) // 2),
+        signature=Signature(n_real=n_real, n_complex_pairs=(e - n_real) // 2),
         match_kind=MatchKind(d["match_kind"]),
     )
 

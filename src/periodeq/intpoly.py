@@ -38,7 +38,8 @@ class Signature:
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Immutable dense polynomial over Z; coeffs[i] multiplies x**i."""
+    """Immutable dense coefficients over Z, coeffs[i] multiplying x**i: a
+    container for the functions below, not a ring (its one operation is derivative)."""
 
     coeffs: tuple[int, ...] = ()
 
@@ -50,24 +51,6 @@ class IntPoly:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
-        return cls((0,) * k + (c,))
 
     @classmethod
     def from_high_to_low(cls, seq) -> "IntPoly":
@@ -88,49 +71,8 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def high_to_low(self) -> tuple[int, ...]:
         return tuple(reversed(self.coeffs))
-
-    def __call__(self, v: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-v for v in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(other * v for v in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, w in enumerate(b):
-                    out[i + j] += u * w
-        return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * v for i, v in enumerate(self.coeffs) if i))

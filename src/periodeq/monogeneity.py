@@ -84,14 +84,9 @@ def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
     """
     if poly_disc == 0:
         raise NotDivisible("polynomial discriminant is zero")
-    q = poly_disc
-    for _ in range(delta.exponent):
-        q, r = divmod(q, delta.p)
-        if r:
-            raise NotDivisible(
-                f"{poly_disc} is not divisible by {delta.p}^{delta.exponent}"
-            )
-    k2 = q * delta.sign
+    k2, r = divmod(poly_disc, delta.value())
+    if r:
+        raise NotDivisible(f"{poly_disc} is not divisible by {delta.p}^{delta.exponent}")
     if k2 <= 0:
         raise NotPerfectSquare(f"discriminant quotient {k2} is negative")
     k = math.isqrt(k2)

@@ -15,6 +15,7 @@ the certificate computed.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import statistics
@@ -111,11 +112,6 @@ def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
     return out
 
 
-def _classify_group(tasks: list[tuple[int, int]]) -> list[ClassificationRecord]:
-    """Classify pairs that share one p."""
-    return _per_pair(classify, tasks)
-
-
 def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods) -> ClassificationRecord | None:
     """None if index_certificate proves k != 1, else classify's record."""
     if index_certificate(periods, ctx.e) is not None:
@@ -129,18 +125,14 @@ def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods) -> Classific
     return rec
 
 
-def _certify_group(tasks: list[tuple[int, int]]) -> list[ClassificationRecord | None]:
-    """For pairs that share one p: None where a certificate proves k != 1,
-    else the exact record."""
-    return _per_pair(_classify_uncertified, tasks)
-
-
-def _run_tasks(group, tasks: list[tuple[int, int]], worker_count: int) -> list:
-    """Run group on tasks one p at a time; results come back in tasks' order."""
+def _run_tasks(step, tasks: list[tuple[int, int]], worker_count: int) -> list:
+    """step(ctx, periods) on every task, the pairs of one p together;
+    results come back in tasks' order."""
     by_p: dict[int, list[tuple[int, int]]] = {}
     for e, f in tasks:
         by_p.setdefault(e * f + 1, []).append((e, f))
     groups = list(by_p.values())
+    group = functools.partial(_per_pair, step)
     if worker_count <= 1 or len(groups) < 2:
         results = map(group, groups)
     else:
@@ -154,7 +146,7 @@ def _run_tasks(group, tasks: list[tuple[int, int]], worker_count: int) -> list:
 def _monogenic_records(tasks: list[tuple[int, int]], worker_count: int) -> list[ClassificationRecord]:
     """The exact records of the monogenic pairs among tasks; every other
     pair is proven non-monogenic, by certificate or by classify."""
-    results = _run_tasks(_certify_group, tasks, worker_count)
+    results = _run_tasks(_classify_uncertified, tasks, worker_count)
     return [rec for rec in results if rec is not None and rec.monogenic]
 
 
@@ -169,13 +161,15 @@ def is_counterexample(rec: ClassificationRecord) -> bool:
 
 
 def fast_doublet_candidates(e_min: int, e_max: int) -> list[int]:
-    """e with both e + 1 and 2e + 1 prime; equivalent to a doublet by theory."""
-    return [e for e in range(e_min, e_max + 1) if is_prime(e + 1) and is_prime(2 * e + 1)]
+    """e >= 2 with both e + 1 and 2e + 1 prime; equivalent to a doublet by
+    theory (e = 1 would need p = 2, which has no period polynomial)."""
+    return [e for e in range(max(e_min, 2), e_max + 1) if is_prime(e + 1) and is_prime(2 * e + 1)]
 
 
 def summarize(spec: ScanSpec, records) -> ScanReport:
     """Derive the monogenic map, missing e, doublets and counterexamples from
-    the records of a full scan of spec."""
+    the records of a full scan of spec; the monogenic records alone decide
+    all but the counterexamples."""
     records = tuple(records)
     mono: dict[int, list[int]] = {e: [] for e in range(spec.e_min, spec.e_max + 1)}
     for rec in records:
@@ -204,14 +198,13 @@ def summarize(spec: ScanSpec, records) -> ScanReport:
 
 def scan(spec: ScanSpec) -> ScanReport:
     """Classify every pair of spec and summarize the records."""
-    return summarize(spec, _run_tasks(_classify_group, scan_tasks(spec), spec.worker_count))
+    return summarize(spec, _run_tasks(classify, scan_tasks(spec), spec.worker_count))
 
 
 def missing_e_census(e_max: int, p_bound: int = 2000, worker_count: int = 1) -> tuple[int, ...]:
     """e in [4, e_max] for which no f with e*f + 1 = p <= p_bound is monogenic."""
     spec = ScanSpec(e_min=4, e_max=e_max, p_bound=p_bound, worker_count=worker_count)
-    mono_e = {rec.e for rec in _monogenic_records(scan_tasks(spec), worker_count)}
-    return tuple(e for e in range(4, e_max + 1) if e not in mono_e)
+    return summarize(spec, _monogenic_records(scan_tasks(spec), worker_count)).missing_e
 
 
 def doublet_survey(
@@ -220,17 +213,14 @@ def doublet_survey(
     e_min: int = 4,
     worker_count: int = 1,
 ) -> tuple[int, ...]:
-    """Doublets (f=1 and f=2 both monogenic) for e in [e_min, e_max].
+    """Doublets (f=1 and f=2 both monogenic) for e in [max(e_min, 2), e_max].
 
     Fast mode uses the primality shortcut; full mode decides both pairs
     (a certificate of k != 1, else classify) and demands monogenicity plus an
     actual cyclotomic match.
     """
     mode = ScanMode(mode)
-    if not 1 <= e_min <= e_max:
-        raise InvalidContext(f"need 1 <= e_min <= e_max, got {e_min}..{e_max}")
-    if worker_count < 1:
-        raise InvalidContext(f"worker_count must be >= 1, got {worker_count}")
+    ScanSpec(e_min, e_max, 2 * e_max + 1, worker_count)  # (e_max, 2) has p = 2 * e_max + 1
     candidates = fast_doublet_candidates(e_min, e_max)
     if mode is ScanMode.FAST_DOUBLET:
         return tuple(candidates)
@@ -272,10 +262,8 @@ def cubic_growth(p_bound: int, worker_count: int = 1) -> CubicGrowthReport:
     pts = [(math.log10(b), math.log10(c)) for b, c in checkpoints if c > 0]
     slope = None
     if len(pts) >= 2:
-        try:
-            slope = statistics.linear_regression([x for x, _ in pts], [y for _, y in pts]).slope
-        except statistics.StatisticsError:
-            slope = None
+        # the checkpoint bounds are distinct, so x is never constant
+        slope = statistics.linear_regression([x for x, _ in pts], [y for _, y in pts]).slope
     return CubicGrowthReport(
         p_bound=p_bound,
         checkpoints=checkpoints,

@@ -176,10 +176,12 @@ BIG = 2**200
 
 @st.composite
 def records(draw):
+    """Self-consistent records: p = e*f + 1, k >= 1, monogenic iff k = 1,
+    and an e - n_real that is even and not negative."""
     e = draw(st.integers(1, 12))
     f = draw(st.integers(1, 10**6))
-    n_real = draw(st.integers(0, e))
-    k = draw(st.integers(-BIG, BIG))
+    n_real = e - 2 * draw(st.integers(0, e // 2))
+    k = draw(st.one_of(st.just(1), st.integers(1, BIG)))
     coeffs = draw(st.lists(st.integers(-BIG, BIG), min_size=1, max_size=e + 1))
     delta = FieldDiscriminant(draw(st.sampled_from((-1, 1))), e * f + 1, draw(st.integers(0, e)))
     return ClassificationRecord(
@@ -192,7 +194,7 @@ def records(draw):
         field_discriminant=delta,
         k_squared=k * k,
         k=k,
-        monogenic=draw(st.booleans()),
+        monogenic=k == 1,
         signature=Signature(n_real=n_real, n_complex_pairs=(e - n_real) // 2),
         match_kind=draw(st.sampled_from(MatchKind)),
     )
@@ -285,6 +287,38 @@ def test_unknown_match_kind_is_rejected(value):
     if value is not None:
         with pytest.raises(ValueError, match="MatchKind"):
             parse_csv_records(csv_row(match_kind=value))
+
+
+@pytest.mark.parametrize(
+    "changes, rule",
+    [
+        ({"p": 7}, "p = e\\*f \\+ 1"),
+        ({"k": "0", "k_squared": "0", "monogenic": False}, "k >= 1"),
+        ({"k": "-2", "monogenic": False}, "k >= 1"),
+        ({"k_squared": "2"}, "k\\^2 = k_squared"),
+        ({"monogenic": False}, "monogenic iff k = 1"),
+        ({"k": "2", "k_squared": "4"}, "monogenic iff k = 1"),
+        ({"n_real": 6}, "0 <= n_real <= e"),
+        ({"n_real": -2}, "0 <= n_real <= e"),
+        ({"n_real": 1}, "0 <= n_real <= e with e - n_real even"),
+    ],
+)
+def test_self_contradictory_record_is_rejected(changes, rule):
+    # classify(4, 1) is monogenic: p = 5, k = 1, n_real = 0
+    with pytest.raises(ValueError, match=f"\\(e=4, f=1\\) breaks {rule}"):
+        record_from_json_dict(json_record(**changes))
+
+
+def test_report_with_self_contradictory_record_is_rejected():
+    obj = json.loads(report_to_json(scan(ScanSpec(4, 4, 17))))
+    rec = next(r for r in obj["records"] if r["f"] == 4)
+    assert (rec["k"], rec["monogenic"]) == ("2", False)
+    rec.update(monogenic=True, n_real=7)
+    with pytest.raises(ValueError, match="breaks monogenic iff k = 1"):
+        report_from_json(json.dumps(obj))
+    rec.update(monogenic=False)
+    with pytest.raises(ValueError, match="breaks 0 <= n_real <= e"):
+        report_from_json(json.dumps(obj))
 
 
 def test_json_record_of_wrong_shape_is_rejected():
@@ -460,6 +494,12 @@ def test_doublets_full_mode(capsys):
     code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--mode", "full"])
     assert code == 0
     assert out.splitlines()[0] == "6 18 30 36"
+
+
+def test_doublets_full_mode_from_e_min_1(capsys):
+    code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--e-min", "1", "--mode", "full"])
+    assert code == 0
+    assert out.splitlines() == ["2 6 18 30 36", "count for 1 <= e <= 40: 5"]
 
 
 def test_doublets_full_mode_exits_4_on_a_residue_mismatch(monkeypatch, capsys):

@@ -139,7 +139,7 @@ def test_classify_quadratics_all_monogenic():
 def test_classify_cubics_against_direct_formula():
     for ctx in contexts_with_p_up_to(300, e_fixed=3):
         rec = classify(ctx)
-        b, c, d = rec.psi[2], rec.psi[1], rec.psi[0]
+        d, c, b = rec.psi.coeffs[:3]
         direct = (
             18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
         )

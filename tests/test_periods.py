@@ -61,7 +61,7 @@ def test_period_sum_is_minus_one():
     for ctx in all_contexts(60):
         exps = _exponent_sets(ctx)
         assert sorted(a for A in exps for a in A) == list(range(1, ctx.p))
-        assert period_polynomial_exact(ctx).poly[ctx.e - 1] == 1, (ctx.e, ctx.f)
+        assert period_polynomial_exact(ctx).poly.coeffs[ctx.e - 1] == 1, (ctx.e, ctx.f)
 
 
 def test_f1_periods_are_root_powers():
@@ -100,7 +100,7 @@ def test_polynomial_shape_invariants():
         poly = period_polynomial_modular(ctx).poly
         assert poly.degree == ctx.e
         assert poly.lc == 1
-        assert poly[ctx.e - 1] == 1  # trace of all periods is -1
+        assert poly.coeffs[ctx.e - 1] == 1  # trace of all periods is -1
         bound = coefficient_bound(ctx)
         assert all(abs(c) <= bound for c in poly.coeffs)
         # squarefree: nonzero resultant with the derivative
@@ -145,7 +145,7 @@ def test_large_doublet_coefficient_spotchecks():
     poly = period_polynomial_modular(make_context(96, 2)).poly
     high = poly.high_to_low()
     assert high[:7] == (1, 1, -95, -94, 4371, 4278, -129766)
-    assert (poly[2], poly[1], poly[0]) == (-1176, -48, 1)
+    assert poly.coeffs[:3] == (1, -48, -1176)
     # f = 1 member: all ones at p = 97
     assert period_polynomial_modular(make_context(96, 1)).poly == cyclotomic_prime(97)
 

@@ -90,6 +90,14 @@ def test_doublet_survey_modes_agree():
     assert fast == full == (6, 18, 30, 36)
 
 
+def test_doublets_start_at_e_2_in_both_modes():
+    # p = 2 has no period polynomial, so e = 1 is never a doublet
+    assert fast_doublet_candidates(1, 40) == [2, 6, 18, 30, 36]
+    fast = doublet_survey(40, mode=ScanMode.FAST_DOUBLET, e_min=1)
+    full = doublet_survey(40, mode=ScanMode.FULL, e_min=1)
+    assert fast == full == (2, 6, 18, 30, 36)
+
+
 def test_missing_e_small():
     assert missing_e_census(6, 2000) == ()
     assert missing_e_census(8, 2000) == (7,)
@@ -141,6 +149,20 @@ def test_cubic_growth_degenerate_bound():
     report = cubic_growth(100)
     assert report.checkpoints == ((100, 6),)
     assert report.slope is None
+
+
+def test_parallel_surveys_do_not_depend_on_the_start_method(monkeypatch):
+    # spawned workers share no memory with the parent: every task and
+    # result must cross by pickle
+    import multiprocessing
+
+    import periodeq.scanner as scanner_mod
+
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(scanner_mod.multiprocessing, "get_context", lambda *args: spawn)
+    spec = ScanSpec(4, 10, 100)
+    assert scan(ScanSpec(4, 10, 100, worker_count=2)).records == scan(spec).records
+    assert missing_e_census(20, 100, worker_count=2) == missing_e_census(20, 100)
 
 
 def test_scan_failure_carries_pair():
