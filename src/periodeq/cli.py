@@ -28,8 +28,20 @@ from .intpoly import (
     demoivre_reduce,
     demoivre_unfold,
 )
-from .monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
-from .number_theory import InternalContradiction, is_prime, make_context
+from .monogeneity import (
+    ClassificationRecord,
+    FieldDiscriminant,
+    MatchKind,
+    classify,
+    field_discriminant,
+)
+from .number_theory import (
+    PRIME_TEST_BOUND,
+    InternalContradiction,
+    factorize,
+    is_prime,
+    make_context,
+)
 from .periods import period_polynomial_exact, period_polynomial_modular
 from .reference_table import TABLE_ROWS, ReferenceRow
 from .scanner import (
@@ -40,6 +52,7 @@ from .scanner import (
     doublet_survey,
     fast_doublet_candidates,
     scan,
+    scan_tasks,
     summarize,
 )
 
@@ -78,22 +91,36 @@ def _wire_int(name: str, v) -> int:
     raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def _record_rules(n: dict, coeffs: list[int], monogenic: bool):
+    """(holds, rule) for each rule a record keeps, lazily: each rule may
+    assume the ones before it."""
+    e, f, p, g, k, n_real = (n[name] for name in ("e", "f", "p", "g", "k", "n_real"))
+    yield p == e * f + 1, "p = e*f + 1"
+    yield k >= 1, "k >= 1"
+    yield k * k == n["k_squared"], "k^2 = k_squared"
+    yield monogenic == (k == 1), "monogenic iff k = 1"
+    yield 0 <= n_real <= e and (e - n_real) % 2 == 0, "0 <= n_real <= e with e - n_real even"
+    yield len(coeffs) == e + 1 and coeffs[0] == 1, "coeffs of degree e with leading coefficient 1"
+    yield (
+        0 < g < p < PRIME_TEST_BOUND
+        and is_prime(p)
+        and all(pow(g, (p - 1) // q, p) != 1 for q in factorize(p - 1))
+    ), "g a primitive root mod the prime p"
+    yield n["delta_exponent"] == e - 1, "delta_exponent = e - 1"
+    yield n["delta_sign"] == field_discriminant(e, f, p).sign, "delta_sign of the field discriminant"
+
+
 def record_from_json_dict(d: dict) -> ClassificationRecord:
     """Build a record from its wire fields; a malformed field, or fields that
-    contradict each other, raise ValueError."""
+    contradict each other or (e, f), raise ValueError."""
     if not isinstance(d, dict) or d.keys() != set(_FIELDS) or type(d["coeffs"]) is not list:
         raise ValueError(f"a record needs exactly the fields {CSV_HEADER}, with coeffs a list")
     if type(d["monogenic"]) is not bool:
         raise ValueError(f"monogenic must be a boolean, got {d['monogenic']!r}")
     n = {k: _wire_int(k, v) for k, v in d.items() if k not in ("monogenic", "match_kind", "coeffs")}
     e, k, n_real = n["e"], n["k"], n["n_real"]
-    for holds, rule in (
-        (n["p"] == e * n["f"] + 1, "p = e*f + 1"),
-        (k >= 1, "k >= 1"),
-        (k * k == n["k_squared"], "k^2 = k_squared"),
-        (d["monogenic"] == (k == 1), "monogenic iff k = 1"),
-        (0 <= n_real <= e and (e - n_real) % 2 == 0, "0 <= n_real <= e with e - n_real even"),
-    ):
+    coeffs = [_wire_int("coeffs", c) for c in d["coeffs"]]
+    for holds, rule in _record_rules(n, coeffs, d["monogenic"]):
         if not holds:
             raise ValueError(f"record (e={e}, f={n['f']}) breaks {rule}")
     delta = FieldDiscriminant(sign=n["delta_sign"], p=n["p"], exponent=n["delta_exponent"])
@@ -102,7 +129,7 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
         f=n["f"],
         p=n["p"],
         g=n["g"],
-        psi=IntPoly.from_high_to_low([_wire_int("coeffs", c) for c in d["coeffs"]]),
+        psi=IntPoly.from_high_to_low(coeffs),
         poly_discriminant=n["k_squared"] * delta.value(),
         field_discriminant=delta,
         k_squared=n["k_squared"],
@@ -161,7 +188,8 @@ def report_to_json(report: ScanReport) -> str:
 
 
 def report_from_json(text: str) -> ScanReport:
-    """Read a scan report back; a malformed spec or record list raises ValueError."""
+    """Read a scan report back; a malformed spec or record list, or records
+    that are not the spec's pairs in scan order, raise ValueError."""
     obj = json.loads(text)
     spec = obj.get("spec") if isinstance(obj, dict) else None
     if not isinstance(spec, dict) or type(obj.get("records")) is not list:
@@ -169,7 +197,13 @@ def report_from_json(text: str) -> ScanReport:
     if spec.get("mode") != "full":
         raise ValueError(f"cannot read a scan report of mode {spec.get('mode')!r}")
     spec = ScanSpec(**{k: _wire_int(k, spec.get(k)) for k in ("e_min", "e_max", "p_bound")})
-    return summarize(spec, (record_from_json_dict(d) for d in obj["records"]))
+    records = [record_from_json_dict(d) for d in obj["records"]]
+    if [(r.e, r.f) for r in records] != scan_tasks(spec):
+        raise ValueError(
+            f"the records' (e, f) are not the pairs of e {spec.e_min}..{spec.e_max}, "
+            f"p <= {spec.p_bound}, once each and in order"
+        )
+    return summarize(spec, records)
 
 
 # -- reference table verification --------------------------------------

@@ -7,9 +7,12 @@ period polynomial satisfies D = k^2 * delta for the field discriminant
 delta and an integer index k >= 1; the period polynomial is monogenic
 (generates the ring of integers) precisely when k == 1.
 
-Each monogenic case with e >= 4 is checked against the two known
-cyclotomic shapes: psi equal to 1 + x + ... + x^(p-1) when f == 1, and
-psi unfolding to it under x + 1/x when p == 2e + 1.
+classify first tests psi against the two cyclotomic shapes: psi equal to
+Phi_p = 1 + x + ... + x^(p-1) when f == 1, and psi unfolding to Phi_p under
+x + 1/x when f == 2.  A match fixes D in closed form, with no remainder
+sequence: disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and the halving R, whose e
+roots 2cos(2 pi j/p) are all real, has disc(R) = p^(e-1).  Every other
+psi takes the subresultant chain.
 
 k == 1 forces D == delta, so one prime q with D mod q != delta mod q
 proves k != 1 (index_certificate).  D mod q is the product of the squared
@@ -142,48 +145,55 @@ class ClassificationRecord:
     match_kind: MatchKind
 
 
-def _match_kind(ctx: PrimeContext, psi: IntPoly, monogenic: bool) -> MatchKind:
-    if not monogenic:
-        return MatchKind.NO_MATCH
-    if ctx.f == 1:
-        if psi == cyclotomic_prime(ctx.p):
-            return MatchKind.DIRECT_CYCLOTOMIC
-    elif ctx.p == 2 * ctx.e + 1:
-        if demoivre_unfold(psi) == cyclotomic_prime(ctx.p):
-            return MatchKind.REDUCED_CYCLOTOMIC
+def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
+    """The cyclotomic shape psi equals exactly, or NO_MATCH."""
+    if ctx.f == 1 and psi == cyclotomic_prime(ctx.p):
+        return MatchKind.DIRECT_CYCLOTOMIC
+    if ctx.f == 2 and demoivre_unfold(psi) == cyclotomic_prime(ctx.p):
+        return MatchKind.REDUCED_CYCLOTOMIC
     return MatchKind.NO_MATCH
 
 
 def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> ClassificationRecord:
-    """Full pipeline for one context: build, discriminate, divide, match.
+    """Full pipeline for one context: build, match, discriminate, divide.
 
     periods, if given, is the shared builder of ctx.p (a scan passes one per
-    p); otherwise a fresh one is made.  The signature is checked against the
-    parity law: the period field is totally real when f is even and totally
+    p); otherwise a fresh one is made.  A psi that equals Phi_p (f == 1) or
+    its x + 1/x halving (f == 2) takes D in closed form, (-1)^((p-1)/2)
+    p^(p-2) or p^(e-1), and its known signature; any other psi takes D and
+    the signature from one subresultant chain.  Either way D is divided by
+    the field discriminant, and the signature is checked against the parity
+    law: the period field is totally real when f is even and totally
     complex when f is odd.
     """
     if periods is None:
         periods = PrimePeriods(ctx.p, ctx.g)
     elif periods.p != ctx.p:
         raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {ctx.p}")
-    psi = periods.polynomial(ctx.e).poly
-    disc, sig = discriminant_and_signature(psi)
-    delta = field_discriminant(ctx.e, ctx.f, ctx.p)
+    e, p = ctx.e, ctx.p
+    psi = periods.polynomial(e).poly
+    match = _match_kind(ctx, psi)
+    if match is MatchKind.DIRECT_CYCLOTOMIC:
+        disc, sig = (-1) ** ((p - 1) // 2) * p ** (p - 2), Signature(0, e // 2)
+    elif match is MatchKind.REDUCED_CYCLOTOMIC:
+        disc, sig = p ** (e - 1), Signature(e, 0)
+    else:
+        disc, sig = discriminant_and_signature(psi)
+    delta = field_discriminant(e, ctx.f, p)
     k2, k = index_squared(disc, delta)
-    if sig.n_real != (ctx.e if ctx.f % 2 == 0 else 0):
+    if sig.n_real != (e if ctx.f % 2 == 0 else 0):
         raise InternalContradiction(f"{sig.n_real} real roots break the parity law for f = {ctx.f}")
-    monogenic = k == 1
     return ClassificationRecord(
-        e=ctx.e,
+        e=e,
         f=ctx.f,
-        p=ctx.p,
+        p=p,
         g=ctx.g,
         psi=psi,
         poly_discriminant=disc,
         field_discriminant=delta,
         k_squared=k2,
         k=k,
-        monogenic=monogenic,
+        monogenic=k == 1,
         signature=sig,
-        match_kind=_match_kind(ctx, psi, monogenic),
+        match_kind=match,
     )

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,16 @@ from periodeq.cli import (
     verify_reference_rows,
 )
 from periodeq.intpoly import IntPoly, Signature
-from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
-from periodeq.number_theory import make_context
+from periodeq.monogeneity import (
+    ClassificationRecord,
+    FieldDiscriminant,
+    MatchKind,
+    classify,
+    field_discriminant,
+)
+from periodeq.number_theory import is_prime, make_context, primitive_root
 from periodeq.reference_table import TABLE_ROWS, ReferenceRow
-from periodeq.scanner import ScanSpec, scan, summarize
+from periodeq.scanner import ScanSpec, scan, scan_tasks, summarize
 
 QUINTIC = "x^5+x^4-4x^3-3x^2+3x+1"
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,21 +181,23 @@ def test_json_big_integers_as_strings():
 BIG = 2**200
 
 
-@st.composite
-def records(draw):
-    """Self-consistent records: p = e*f + 1, k >= 1, monogenic iff k = 1,
-    and an e - n_real that is even and not negative."""
-    e = draw(st.integers(1, 12))
-    f = draw(st.integers(1, 10**6))
+def draw_record(draw, e, f):
+    """A record of (e, f) that keeps every wire rule: a primitive root g, the
+    field discriminant's sign and exponent, a monic psi of degree e, k >= 1
+    with monogenic iff k = 1, and an e - n_real that is even and not negative."""
+    p = e * f + 1
+    t = draw(st.integers(1, p - 1))
+    while math.gcd(t, p - 1) != 1:
+        t += 1
     n_real = e - 2 * draw(st.integers(0, e // 2))
     k = draw(st.one_of(st.just(1), st.integers(1, BIG)))
-    coeffs = draw(st.lists(st.integers(-BIG, BIG), min_size=1, max_size=e + 1))
-    delta = FieldDiscriminant(draw(st.sampled_from((-1, 1))), e * f + 1, draw(st.integers(0, e)))
+    coeffs = [1] + draw(st.lists(st.integers(-BIG, BIG), min_size=e, max_size=e))
+    delta = field_discriminant(e, f, p)
     return ClassificationRecord(
         e=e,
         f=f,
-        p=e * f + 1,
-        g=draw(st.integers(1, e * f)),
+        p=p,
+        g=pow(primitive_root(p), t, p),
         psi=IntPoly.from_high_to_low(coeffs),
         poly_discriminant=k * k * delta.value(),
         field_discriminant=delta,
@@ -200,18 +209,35 @@ def records(draw):
     )
 
 
+@st.composite
+def records(draw):
+    e = draw(st.integers(1, 12))
+    f = draw(st.integers(1, 10**6))
+    while e * f + 1 < 3 or not is_prime(e * f + 1):
+        f += 1
+    return draw_record(draw, e, f)
+
+
+@st.composite
+def reports(draw):
+    """The records of every pair of a small spec, in scan order."""
+    e_min = draw(st.integers(1, 8))
+    e_max = draw(st.integers(e_min, e_min + 4))
+    spec = ScanSpec(e_min, e_max, draw(st.integers(max(e_max + 1, 3), 60)))
+    return summarize(spec, [draw_record(draw, e, f) for e, f in scan_tasks(spec)])
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(records(), max_size=4))
-def test_fuzz_csv_and_json_round_trip(recs):
+@given(st.lists(records(), max_size=4), reports())
+def test_fuzz_csv_and_json_round_trip(recs, report):
     text = records_to_csv(recs)
     parsed = parse_csv_records(text)
     assert parsed == recs
     assert records_to_csv(parsed) == text
 
-    report = summarize(ScanSpec(1, 12, 10**7), recs)
     text = report_to_json(report)
     again = report_from_json(text)
-    assert again.records == tuple(recs)
+    assert again.records == report.records
     assert report_to_json(again) == text
 
 
@@ -301,6 +327,13 @@ def test_unknown_match_kind_is_rejected(value):
         ({"n_real": 6}, "0 <= n_real <= e"),
         ({"n_real": -2}, "0 <= n_real <= e"),
         ({"n_real": 1}, "0 <= n_real <= e with e - n_real even"),
+        ({"delta_exponent": 4}, "delta_exponent = e - 1"),
+        ({"delta_sign": -1}, "delta_sign of the field discriminant"),
+        ({"coeffs": ["1", "1", "1", "1"]}, "coeffs of degree e"),
+        ({"coeffs": ["2", "1", "1", "1", "1"]}, "coeffs of degree e with leading coefficient 1"),
+        ({"coeffs": ["0", "1", "1", "1", "1", "1"]}, "coeffs of degree e"),
+        ({"g": 4}, "g a primitive root mod the prime p"),
+        ({"g": 7}, "g a primitive root mod the prime p"),
     ],
 )
 def test_self_contradictory_record_is_rejected(changes, rule):
@@ -319,6 +352,20 @@ def test_report_with_self_contradictory_record_is_rejected():
     rec.update(monogenic=False)
     with pytest.raises(ValueError, match="breaks 0 <= n_real <= e"):
         report_from_json(json.dumps(obj))
+
+
+def test_report_whose_records_are_not_the_spec_pairs_is_rejected():
+    obj = json.loads(report_to_json(scan(ScanSpec(4, 4, 17))))
+    assert [(r["e"], r["f"]) for r in obj["records"]] == [(4, 1), (4, 3), (4, 4)]
+    outside = record_to_json_dict(classify(make_context(6, 1)))
+    for records in (
+        obj["records"] + [outside],  # e = 6 lies outside e 4..4
+        obj["records"] + obj["records"][:1],  # (4, 1) twice
+        obj["records"][1:],  # (4, 1) missing
+        obj["records"][::-1],  # out of scan order
+    ):
+        with pytest.raises(ValueError, match="not the pairs of e 4..4, p <= 17"):
+            report_from_json(json.dumps(dict(obj, records=records)))
 
 
 def test_json_record_of_wrong_shape_is_rejected():
@@ -473,10 +520,27 @@ def test_scan_internal_contradiction_exits_4(monkeypatch, capsys):
     def explode(psi):
         raise InternalContradiction("forced")
 
+    # (5, 2) matches the halving of Phi_11 and never reaches the chain; (5, 6) does
     monkeypatch.setattr(mono_mod, "discriminant_and_signature", explode)
+    code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32"])
+    assert code == 4
+    assert "(e=5, f=6)" in err and "forced" in err
+
+
+def test_scan_closed_form_contradiction_exits_4(monkeypatch, capsys):
+    import periodeq.monogeneity as mono_mod
+
+    real = mono_mod.field_discriminant
+
+    def wrong_sign(e, f, p):
+        delta = real(e, f, p)
+        return FieldDiscriminant(-delta.sign, delta.p, delta.exponent)
+
+    # the closed form D = +11^4 of (5, 2) against a delta of -11^4
+    monkeypatch.setattr(mono_mod, "field_discriminant", wrong_sign)
     code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "12"])
     assert code == 4
-    assert "(e=5, f=2)" in err and "forced" in err
+    assert "(e=5, f=2)" in err and "negative" in err
 
 
 # -- doublets / cubic growth / table --------------------------------------

@@ -1,11 +1,12 @@
 import pickle
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodeq.intpoly import IntPoly, Signature
+from periodeq.intpoly import IntPoly, Signature, discriminant_and_signature
 from periodeq.monogeneity import (
     ClassificationRecord,
     FieldDiscriminant,
@@ -210,6 +211,49 @@ def test_classify_checks_parity_law(monkeypatch):
     monkeypatch.setattr(mono_mod, "discriminant_and_signature", wrong_signature)
     with pytest.raises(InternalContradiction, match="parity law"):
         classify(make_context(4, 4))
+
+
+def test_closed_form_of_cyclotomic_shapes_agrees_with_the_chain():
+    contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f in (1, 2)]
+    contexts += [make_context(250, 1), make_context(239, 2)]
+    for ctx in contexts:
+        rec = classify(ctx)
+        disc, sig = discriminant_and_signature(rec.psi)
+        k2, k = index_squared(disc, field_discriminant(ctx.e, ctx.f, ctx.p))
+        assert (rec.poly_discriminant, rec.k_squared, rec.k) == (disc, k2, k) == (disc, 1, 1)
+        assert rec.signature == sig, (ctx.e, ctx.f)
+        want = MatchKind.DIRECT_CYCLOTOMIC if ctx.f == 1 else MatchKind.REDUCED_CYCLOTOMIC
+        assert rec.match_kind is want, (ctx.e, ctx.f)
+
+
+def test_matched_shapes_skip_the_chain(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+
+    def no_chain(psi):
+        raise AssertionError("the chain ran on a matched pair")
+
+    monkeypatch.setattr(mono_mod, "discriminant_and_signature", no_chain)
+    assert classify(make_context(10, 1)).match_kind is MatchKind.DIRECT_CYCLOTOMIC
+    assert classify(make_context(5, 2)).match_kind is MatchKind.REDUCED_CYCLOTOMIC
+
+
+def test_psi_off_the_shape_takes_the_chain(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+
+    calls = []
+
+    def spy(psi):
+        calls.append(psi)
+        return discriminant_and_signature(psi)
+
+    monkeypatch.setattr(mono_mod, "discriminant_and_signature", spy)
+    # Phi_11 with constant term 2: the closed form would call it monogenic,
+    # while its true D is not divisible by the field discriminant -11^9
+    perturbed = IntPoly((2,) + (1,) * 10)
+    periods = SimpleNamespace(p=11, polynomial=lambda e: SimpleNamespace(poly=perturbed))
+    with pytest.raises(NotDivisible):
+        classify(make_context(10, 1), periods)
+    assert calls == [perturbed]
 
 
 # -- certificate of k != 1 -------------------------------------------------
