@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from itertools import zip_longest
 
 from .intpoly import (
     IntPoly,
@@ -51,8 +52,8 @@ from .scanner import (
     cubic_growth,
     doublet_survey,
     fast_doublet_candidates,
+    iter_scan_tasks,
     scan,
-    scan_tasks,
     summarize,
 )
 
@@ -198,7 +199,10 @@ def report_from_json(text: str) -> ScanReport:
         raise ValueError(f"cannot read a scan report of mode {spec.get('mode')!r}")
     spec = ScanSpec(**{k: _wire_int(k, spec.get(k)) for k in ("e_min", "e_max", "p_bound")})
     records = [record_from_json_dict(d) for d in obj["records"]]
-    if [(r.e, r.f) for r in records] != scan_tasks(spec):
+    # stop at the first pair that differs, or the first one past the records,
+    # so the cost follows the report's size, not the spec's p_bound
+    pairs = ((r.e, r.f) for r in records)
+    if any(a != b for a, b in zip_longest(pairs, iter_scan_tasks(spec))):
         raise ValueError(
             f"the records' (e, f) are not the pairs of e {spec.e_min}..{spec.e_max}, "
             f"p <= {spec.p_bound}, once each and in order"

@@ -4,7 +4,9 @@ Everything here is deterministic.  Primality uses the fixed Miller-Rabin
 witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
 particular for the full 64-bit range); larger n are refused, not guessed.
 Factorization is wheel trial division, and the primitive root returned is
-always the smallest one.
+always the smallest one.  The CRT primes of the modular period build are
+q ≡ 1 (mod modulus) just above CRT_PRIME_FLOOR = 2^29: below 2^30 each one
+is a single CPython digit, so arithmetic mod q stays in one-digit ints.
 """
 
 from __future__ import annotations
@@ -139,10 +141,14 @@ def make_context(e: int, f: int) -> PrimeContext:
     return PrimeContext(p=p, e=e, f=f, g=primitive_root(p))
 
 
-WORD_PRIME_FLOOR = 1 << 62
+# CRT and residue primes start just above 2^29, so that every q < 2^30 is one
+# 30-bit CPython digit: table entries, period sums and residues mod q are
+# then one-digit ints, their products two digits, and % q takes the
+# interpreter's single-digit division path instead of general long division.
+CRT_PRIME_FLOOR = 1 << 29
 
 
-def primes_in_progression(modulus: int, start: int = WORD_PRIME_FLOOR) -> Iterator[int]:
+def primes_in_progression(modulus: int, start: int = CRT_PRIME_FLOOR) -> Iterator[int]:
     """Yield primes q with q ≡ 1 (mod modulus) and q > start, in increasing order."""
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")

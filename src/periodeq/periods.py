@@ -116,12 +116,16 @@ def coefficient_bound(ctx: PrimeContext) -> int:
 class PrimePeriods:
     """Every period polynomial of one prime p, built modulo shared primes.
 
-    The CRT primes q ≡ 1 (mod p) above 2**62 are searched once per p, and
-    for each q one table ys[t] = w^(g^t mod p) mod q is kept, w of order p in
-    GF(q)*.  The e-periods mod q are then the sums ys[i::e], for every
-    divisor e of p - 1.  How many primes psi_e uses is fixed in advance by
-    its coefficient bound (the product of moduli must exceed twice the
-    bound), so the reconstruction is deterministic, with no early
+    The CRT primes q ≡ 1 (mod 2p) just above 2**29 are searched once per p,
+    and for each q one table ys[t] = w^(g^t mod p) mod q is kept, w of order
+    p in GF(q)*.  The e-periods mod q are then the sums ys[i::e], for every
+    divisor e of p - 1.  Below 2**30 each q is one CPython digit, so every
+    table entry and residue is a one-digit int, products have two digits and
+    % q takes the interpreter's single-digit path; a prime then carries only
+    about 29 bits of the CRT modulus, but twice as many cheap primes cost
+    less than half as many 62-bit ones.  How many primes psi_e uses is fixed
+    in advance by its coefficient bound (the product of moduli must exceed
+    twice the bound), so the reconstruction is deterministic, with no early
     termination to get lucky on; primes are added lazily as larger e ask.
     The first prime also serves period_residues, the periods mod q alone.
     """
@@ -220,6 +224,7 @@ class PrimePeriods:
 
 
 def period_polynomial_modular(ctx: PrimeContext) -> PeriodPolynomial:
-    """Build the period polynomial modulo primes q ≡ 1 (mod p) above 2**62
-    (see PrimePeriods, which shares that work across every e of one p)."""
+    """Build the period polynomial modulo one-digit primes q ≡ 1 (mod p)
+    just above 2**29 (see PrimePeriods, which shares that work across every
+    e of one p)."""
     return PrimePeriods(ctx.p, ctx.g).polynomial(ctx.e)

@@ -22,6 +22,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .intpoly import NotSquarefree
 from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
@@ -85,15 +86,19 @@ class ScanReport:
     counterexamples: tuple[ClassificationRecord, ...]
 
 
-def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
-    """All (e, f) with e in range and p = e*f + 1 prime, p <= p_bound."""
-    tasks = []
+def iter_scan_tasks(spec: ScanSpec) -> Iterator[tuple[int, int]]:
+    """(e, f) with e in range and p = e*f + 1 prime, p <= p_bound, in scan
+    order and lazily, so a caller that stops early pays only for what it read."""
     for e in range(spec.e_min, spec.e_max + 1):
         for f in range(1, (spec.p_bound - 1) // e + 1):
             p = e * f + 1
             if p >= 3 and is_prime(p):
-                tasks.append((e, f))
-    return tasks
+                yield e, f
+
+
+def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
+    """All (e, f) with e in range and p = e*f + 1 prime, p <= p_bound."""
+    return list(iter_scan_tasks(spec))
 
 
 def _per_pair(step, tasks: list[tuple[int, int]]) -> list:

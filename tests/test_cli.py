@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,18 @@ def test_report_whose_records_are_not_the_spec_pairs_is_rejected():
     ):
         with pytest.raises(ValueError, match="not the pairs of e 4..4, p <= 17"):
             report_from_json(json.dumps(dict(obj, records=records)))
+
+
+def test_report_check_stops_at_the_first_pair_past_the_records():
+    # e 4..4 with p <= 10**15 has about 10**13 pairs: listing them never ends
+    empty = {"spec": {"mode": "full", "e_min": 4, "e_max": 4, "p_bound": 10**15}, "records": []}
+    obj = json.loads(report_to_json(scan(ScanSpec(4, 8, 100))))
+    short = dict(obj, records=obj["records"][:-1])
+    for report in (empty, short):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not the pairs of e"):
+            report_from_json(json.dumps(report))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_json_record_of_wrong_shape_is_rejected():

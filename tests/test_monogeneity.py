@@ -19,7 +19,13 @@ from periodeq.monogeneity import (
     index_certificate,
     index_squared,
 )
-from periodeq.number_theory import InternalContradiction, InvalidContext, is_prime, make_context
+from periodeq.number_theory import (
+    InternalContradiction,
+    InvalidContext,
+    is_prime,
+    make_context,
+    primitive_root,
+)
 from periodeq.periods import PrimePeriods, period_polynomial_modular
 
 
@@ -276,6 +282,43 @@ def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
         assert cert in (None, q)
         certified += cert is not None
     assert len(contexts) == 514 and certified > 0
+
+
+def _records_and_certificates():
+    """classify's record of every pair with p <= 300, and whether
+    index_certificate is None for every pair with e <= 100, p <= 260."""
+    shared: dict[int, PrimePeriods] = {}
+    records, uncertified = [], []
+    for ctx in contexts_with_p_up_to(300):
+        if ctx.p not in shared:
+            shared[ctx.p] = PrimePeriods(ctx.p, ctx.g)
+        records.append(classify(ctx, shared[ctx.p]))
+        if ctx.e <= 100 and ctx.p <= 260:
+            uncertified.append(index_certificate(shared[ctx.p], ctx.e) is None)
+    return records, uncertified, shared
+
+
+def test_one_digit_crt_primes_give_what_62_bit_primes_give(monkeypatch):
+    import periodeq.number_theory as nt_mod
+    import periodeq.periods as periods_mod
+
+    records, uncertified, shared = _records_and_certificates()
+    assert all(q < 2**30 for per in shared.values() for q in per._primes)
+    monkeypatch.setattr(
+        periods_mod,
+        "primes_in_progression",
+        lambda modulus: nt_mod.primes_in_progression(modulus, start=1 << 62),
+    )
+    wide_records, wide_uncertified, wide_shared = _records_and_certificates()
+    assert all(q > 1 << 62 for per in wide_shared.values() for q in per._primes)
+    assert len(records) == 514 and wide_records == records
+    assert wide_uncertified == uncertified and 0 < sum(uncertified) < len(uncertified)
+
+
+def test_residue_prime_is_one_digit():
+    for p in (5, 7001, 99991):
+        q = PrimePeriods(p, primitive_root(p)).residue_prime
+        assert q < 2**30 and q % (2 * p) == 1, p
 
 
 def test_index_certificate_checks_that_d_over_delta_is_a_square(monkeypatch):

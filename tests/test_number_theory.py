@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodeq.number_theory import (
+    CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
-    WORD_PRIME_FLOOR,
     CompositeP,
     InvalidContext,
     factorize,
@@ -124,7 +124,7 @@ def test_primes_in_progression():
     assert qs == sorted(qs)
     for q in qs:
         assert q % 11 == 1
-        assert q > WORD_PRIME_FLOOR
+        assert q > CRT_PRIME_FLOOR
         assert sympy.isprime(q)
     with pytest.raises(ValueError):
         next(primes_in_progression(0))

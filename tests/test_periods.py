@@ -2,8 +2,8 @@ import pytest
 
 from periodeq.intpoly import IntPoly, cyclotomic_prime, resultant
 from periodeq.number_theory import (
+    CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
-    WORD_PRIME_FLOOR,
     InvalidContext,
     PrimeContext,
     factorize,
@@ -187,7 +187,7 @@ def test_prime_periods_serve_every_e_up_to_p300():
 def test_prime_periods_crt_primes_step_by_p():
     for p in (5, 61, 359):
         want = []
-        q = WORD_PRIME_FLOOR + 1 + (-WORD_PRIME_FLOOR) % p
+        q = CRT_PRIME_FLOOR + 1 + (-CRT_PRIME_FLOOR) % p
         while len(want) < 3:
             if is_prime(q):
                 want.append(q)
