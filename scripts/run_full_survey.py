@@ -63,19 +63,23 @@ def main(argv: list[str] | None = None) -> int:
               f"monogenic={rec.monogenic} match={rec.match_kind.value}")
 
     t0 = time.monotonic()
-    missing = missing_e_census(args.census_e_max, args.census_p_bound)
+    missing = missing_e_census(
+        args.census_e_max, args.census_p_bound, worker_count=args.workers
+    )
     print(f"census: {len(missing)} values of e <= {args.census_e_max} admit no monogenic f "
           f"(searching p <= {args.census_p_bound}; {time.monotonic() - t0:.1f}s)")
     print(f"census: {' '.join(str(e) for e in missing)}")
 
     t0 = time.monotonic()
-    doublets = doublet_survey(args.doublet_e_max, mode=ScanMode.FAST_DOUBLET)
+    doublets = doublet_survey(
+        args.doublet_e_max, mode=ScanMode.FAST_DOUBLET, worker_count=args.workers
+    )
     print(f"doublets: {len(doublets)} values of e in [4, {args.doublet_e_max}] are monogenic "
           f"for both f=1 and f=2 ({time.monotonic() - t0:.1f}s)")
     print(f"doublets: first 14: {' '.join(str(e) for e in doublets[:14])}")
 
     t0 = time.monotonic()
-    growth = cubic_growth(args.cubic_p_bound)
+    growth = cubic_growth(args.cubic_p_bound, worker_count=args.workers)
     slope = "undefined" if growth.slope is None else f"{growth.slope:.3f}"
     print(f"cubics: checkpoint counts {growth.checkpoints} "
           f"(log-log slope {slope}; {time.monotonic() - t0:.1f}s)")

@@ -3,8 +3,8 @@
 Everything here is deterministic.  Primality uses the fixed Miller-Rabin
 witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
 particular for the full 64-bit range); larger n are refused, not guessed.
-Factorization is wheel trial division, and the primitive root returned is
-always the smallest one.  The CRT primes of the modular period build are
+Factorization is wheel trial division up to TRIAL_LIMIT, then Pollard-Brent
+on what is left, and the primitive root returned is always the smallest one.  The CRT primes of the modular period build are
 q ≡ 1 (mod modulus) just above CRT_PRIME_FLOOR = 2^29: below 2^30 each one
 is a single CPython digit, so arithmetic mod q stays in one-digit ints.
 """
@@ -68,10 +68,60 @@ def is_prime(n: int) -> bool:
 
 # Gap cycle for trial divisors coprime to 30, starting at 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# Trial division stops past this divisor once the cofactor is below
+# PRIME_TEST_BOUND, so every n < TRIAL_LIMIT**2 is factored by trial alone.
+TRIAL_LIMIT = 1 << 16
+_TRIAL_STOP = TRIAL_LIMIT * TRIAL_LIMIT
+# Pollard-Brent takes gcds over batches of this many steps.
+_BRENT_BATCH = 128
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the composite n with no prime factor below
+    TRIAL_LIMIT: Brent's cycle search on x -> x^2 + c mod n from x = 2,
+    c = 1, 2, ... until a gcd is neither 1 nor n."""
+    for c in range(1, n):
+        y, r, acc, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(_BRENT_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                d = math.gcd(acc, n)
+                k += _BRENT_BATCH
+            r *= 2
+        if d == n:
+            # the batch's product hit 0 mod n: redo its steps one gcd at a time
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = math.gcd(x - saved, n)
+        if d != n:
+            return d
+    raise InternalContradiction(f"Pollard-Brent found no divisor of {n}")
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of 1 < n < PRIME_TEST_BOUND, with multiplicity,
+    for n with no prime factor below TRIAL_LIMIT."""
+    if is_prime(n):
+        return [n]
+    d = _pollard_brent(n)
+    return _prime_factors(d) + _prime_factors(n // d)
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, by trial division."""
+    """Prime factorization of n >= 1 as {prime: exponent}, in ascending order.
+
+    Wheel trial division finds the factors below TRIAL_LIMIT; a cofactor
+    below PRIME_TEST_BOUND that is left is split by Pollard-Brent and its
+    pieces proven prime by is_prime, a larger one is trial-divided to the end.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
@@ -83,17 +133,25 @@ def factorize(n: int) -> dict[int, int]:
                 k += 1
             out[q] = k
     d, i = 7, 0
-    while d * d <= n:
+    # d runs while d * d <= stop: to the end for n at or above
+    # PRIME_TEST_BOUND, else only while d <= TRIAL_LIMIT
+    stop = n if n < _TRIAL_STOP or n >= PRIME_TEST_BOUND else _TRIAL_STOP
+    while d * d <= stop:
         if n % d == 0:
             k = 0
             while n % d == 0:
                 n //= d
                 k += 1
             out[d] = k
+            stop = n if n < _TRIAL_STOP or n >= PRIME_TEST_BOUND else _TRIAL_STOP
         d += _WHEEL[i]
         i = (i + 1) & 7
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if d * d > n:
+        if n > 1:
+            out[n] = 1
+    else:
+        for q in sorted(_prime_factors(n)):
+            out[q] = out.get(q, 0) + 1
     return out
 
 

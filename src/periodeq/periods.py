@@ -4,14 +4,15 @@ For p = e*f + 1 prime with primitive root g, the i-th period is
 eta_i = sum over k < f of zeta^(g^(k*e+i)), zeta a primitive p-th root of
 unity.  The period polynomial psi_e = prod (x - eta_i) has integer
 coefficients; two independent constructions are provided, one exact, on
-integer coordinate vectors over 1, zeta, ..., zeta^(p-1), and one modular
-with CRT reconstruction against a proven coefficient bound.  The modular
-one is organised by p: one PrimePeriods finds the CRT primes and the
-root-of-unity tables of p once and builds psi_e for every e | p - 1 from
-them, so a survey that visits many e of one p pays for those tables once.
-The same tables give the periods modulo the first CRT prime without any
-reconstruction (period_residues), which is all a monogenicity certificate
-needs.
+integer coordinate vectors over 1, zeta, ..., zeta^(p-1), and one modular,
+modulo a product M of CRT primes that exceeds twice a proven coefficient
+bound.  The modular one is organised by p: one PrimePeriods finds the CRT
+primes and the root-of-unity tables of p once and builds psi_e for every
+e | p - 1 from them, so a survey that visits many e of one p pays for those
+tables once.  It reconstructs the e periods mod M from their sums mod each
+prime and multiplies out prod (x - eta_i) once, modulo M.  The same tables
+give the periods modulo the first CRT prime without any reconstruction
+(period_residues), which is all a monogenicity certificate needs.
 """
 
 from __future__ import annotations
@@ -120,14 +121,18 @@ class PrimePeriods:
     and for each q one table ys[t] = w^(g^t mod p) mod q is kept, w of order
     p in GF(q)*.  The e-periods mod q are then the sums ys[i::e], for every
     divisor e of p - 1.  Below 2**30 each q is one CPython digit, so every
-    table entry and residue is a one-digit int, products have two digits and
-    % q takes the interpreter's single-digit path; a prime then carries only
-    about 29 bits of the CRT modulus, but twice as many cheap primes cost
-    less than half as many 62-bit ones.  How many primes psi_e uses is fixed
-    in advance by its coefficient bound (the product of moduli must exceed
-    twice the bound), so the reconstruction is deterministic, with no early
-    termination to get lucky on; primes are added lazily as larger e ask.
-    The first prime also serves period_residues, the periods mod q alone.
+    table entry and period sum is a one-digit int and % q takes the
+    interpreter's single-digit path; a prime then carries only about 29 bits
+    of the CRT modulus, so a large e needs about twice as many tables as with
+    62-bit primes.  How many primes n psi_e uses is fixed in advance by its
+    coefficient bound (M = the product of the n moduli must exceed twice the
+    bound), so the reconstruction is deterministic, with no early termination
+    to get lucky on; primes are added lazily as larger e ask.  Sending zeta to
+    the w's, combined by CRT, is a ring map Z[zeta] -> Z/M, so the periods
+    are first combined into eta_i mod M (Garner's step on e sums) and the
+    product of the e linear factors is taken once, modulo M, whatever n is;
+    the symmetric lift of its coefficients is psi_e.  The first prime also
+    serves period_residues, the periods mod q alone.
     """
 
     def __init__(self, p: int, g: int):
@@ -168,16 +173,6 @@ class PrimePeriods:
         self._inverses.append(pow(modulus % q, -1, q))
         self._moduli.append(modulus * q)
 
-    def _psi_residues(self, k: int, e: int) -> list[int]:
-        """Coefficients of psi_e modulo the k-th prime, low degree first."""
-        q, ys = self._primes[k], self._ys[k]
-        prod = [1]
-        for i in range(e):
-            eta = sum(ys[i::e]) % q
-            # (x - eta) * prod: coefficient j is prod[j-1] - eta * prod[j]
-            prod = [(a - eta * b) % q for a, b in zip([0, *prod], [*prod, 0])]
-        return prod
-
     def _check_divisor(self, e: int) -> None:
         if e < 1 or (self.p - 1) % e:
             raise InvalidContext(f"e = {e} does not divide p - 1 = {self.p - 1}")
@@ -201,7 +196,8 @@ class PrimePeriods:
         return [sum(ys[i::e]) % q for i in range(e)]
 
     def polynomial(self, e: int) -> PeriodPolynomial:
-        """psi_e for a divisor e of p - 1, reconstructed by CRT from the shared primes."""
+        """psi_e for a divisor e of p - 1, multiplied out modulo the product
+        of the shared primes that its coefficient bound asks for."""
         self._check_divisor(e)
         ctx = PrimeContext(p=self.p, e=e, f=(self.p - 1) // e, g=self.g)
         target = 2 * coefficient_bound(ctx)
@@ -210,14 +206,16 @@ class PrimePeriods:
             n += 1
             if n > len(self._primes):
                 self._add_prime()
-        coeffs = [0] * (e + 1)
+        # Garner: eta_i mod M = _moduli[n] from its sums mod each of the n primes
+        etas = [0] * e
         for k in range(n):
-            q, mod, inv = self._primes[k], self._moduli[k], self._inverses[k]
-            coeffs = [
-                val + mod * ((r - val) * inv % q)
-                for val, r in zip(coeffs, self._psi_residues(k, e))
-            ]
+            q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]
+            etas = [val + mod * ((sum(ys[i::e]) - val) * inv % q) for i, val in enumerate(etas)]
         mod = self._moduli[n]
+        coeffs = [1]
+        for eta in etas:
+            # (x - eta) * coeffs: coefficient j is coeffs[j-1] - eta * coeffs[j]
+            coeffs = [(a - eta * b) % mod for a, b in zip([0, *coeffs], [*coeffs, 0])]
         half = mod // 2
         coeffs = [val - mod if val > half else val for val in coeffs]
         return PeriodPolynomial(ctx, IntPoly(coeffs))

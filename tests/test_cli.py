@@ -381,6 +381,26 @@ def test_report_check_stops_at_the_first_pair_past_the_records():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "p, g",
+    [
+        (100000000005083, 2),  # a safe prime: p - 1 = 2 * 50000000002541
+        # 82 bits: p - 1 = 2 * q1 * q2 with q1, q2 the two primes above 2^40
+        (2417851640636633232984383, 5),
+    ],
+)
+def test_record_with_a_large_p_is_checked_quickly(p, g):
+    # psi_2 = x^2 + x + (p + 1)/4 for p ≡ 3 (mod 4), in the shape of classify(2, 3)
+    d = record_to_json_dict(classify(make_context(2, 3)))
+    d.update(f=(p - 1) // 2, p=p, g=g, coeffs=["1", "1", str((p + 1) // 4)])
+    start = time.perf_counter()
+    rec = record_from_json_dict(d)
+    assert (rec.p, rec.g) == (p, g)
+    with pytest.raises(ValueError, match="g a primitive root mod the prime p"):
+        record_from_json_dict(dict(d, g=4))
+    assert time.perf_counter() - start < 10.0
+
+
 def test_json_record_of_wrong_shape_is_rejected():
     d = json_record()
     del d["k"]

@@ -3,9 +3,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodeq import number_theory
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
+    TRIAL_LIMIT,
     CompositeP,
     InvalidContext,
     factorize,
@@ -64,6 +66,43 @@ def test_factorize_examples():
     assert factorize(10**9 + 7) == {10**9 + 7: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+# the two primes above 2^40; 2 * Q1 * Q2 + 1 is an 82-bit prime
+Q1, Q2 = 1099511627791, 1099511628401
+
+
+def test_factorize_splits_a_product_of_two_40_bit_primes():
+    assert is_prime(2 * Q1 * Q2 + 1)
+    for n in (2 * Q1 * Q2, Q1 * Q2, Q1 * Q1, 7 * 65537 * Q1):
+        assert factorize(n) == sympy.factorint(n)
+    assert list(factorize(Q2 * Q1 * 3)) == [3, Q1, Q2]
+
+
+def test_factorize_uses_trial_division_alone_below_the_trial_limit_squared(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"Pollard-Brent called on {n}")
+
+    monkeypatch.setattr(number_theory, "_pollard_brent", refuse)
+    for n in (65521 * 65519, TRIAL_LIMIT**2 - 1, 4294967291, 10**9 + 7):
+        assert factorize(n) == sympy.factorint(n)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=PRIME_TEST_BOUND - 1),
+        st.builds(
+            lambda a, b: a * b,
+            st.integers(min_value=TRIAL_LIMIT, max_value=2**40),
+            st.integers(min_value=TRIAL_LIMIT, max_value=2**40),
+        ),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_factorize_matches_sympy_below_the_prime_test_bound(n):
+    facs = factorize(n)
+    assert facs == sympy.factorint(n)
+    assert list(facs) == sorted(facs)
 
 
 @given(st.integers(min_value=1, max_value=10**9))

@@ -1,6 +1,6 @@
 import pytest
 
-from periodeq.intpoly import IntPoly, cyclotomic_prime, resultant
+from periodeq.intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, resultant
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
@@ -182,6 +182,21 @@ def test_prime_periods_serve_every_e_up_to_p300():
                 built = periods.polynomial(e)
                 assert built.poly == want, (e, ctx.f, periods.g)
                 assert built.ctx == PrimeContext(p=p, e=e, f=ctx.f, g=periods.g)
+
+
+def test_prime_periods_at_large_e_and_above_p300():
+    # psi_e is one product modulo the whole CRT modulus M; at p = 503 that M
+    # spans 14 primes for e = 251 and 18 for e = 502
+    periods = PrimePeriods(503, primitive_root(503))
+    assert periods.polynomial(251).poly == demoivre_reduce(cyclotomic_prime(503))
+    assert len(periods._primes) == 14
+    assert periods.polynomial(502).poly == cyclotomic_prime(503)
+    assert len(periods._primes) == 18
+    # acceptance 07 ties the builds to the exact oracle up to p = 300
+    ctx = make_context(40, 10)
+    periods = PrimePeriods(401, ctx.g)
+    assert periods.polynomial(40).poly == period_polynomial_exact(ctx).poly
+    assert len(periods._primes) == 5
 
 
 def test_prime_periods_crt_primes_step_by_p():

@@ -1,5 +1,8 @@
+import re
 import runpy
 from pathlib import Path
+
+from periodeq import scanner
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_survey.py"
 
@@ -15,3 +18,41 @@ def test_small_survey_runs_with_a_single_cubic_checkpoint(capsys):
     out = capsys.readouterr().out
     assert "log-log slope undefined" in out
     assert "doublets: first 14: 6 18 30 36" in out
+
+
+def _census_and_cubic_lines(out):
+    # the lines without their timings
+    lines = [line for line in out.splitlines() if line.startswith(("census:", "cubics:"))]
+    return [re.sub(r"\d+\.\ds\)", "", line) for line in lines]
+
+
+def test_workers_reach_the_census_and_the_cubics(capsys, monkeypatch):
+    seen = []
+
+    def spy(name):
+        original = getattr(scanner, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, kwargs.get("worker_count")))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scanner, name, call)
+
+    for name in ("missing_e_census", "cubic_growth"):
+        spy(name)
+    main = runpy.run_path(str(SCRIPT), run_name="run_full_survey")["main"]
+    argv = [
+        "--e-max", "6", "--p-bound", "50",
+        "--census-e-max", "30", "--census-p-bound", "200",
+        "--doublet-e-max", "40", "--cubic-p-bound", "1000",
+    ]
+    outs = []
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers]) == 0
+        outs.append(_census_and_cubic_lines(capsys.readouterr().out))
+    assert len(outs[0]) == 3
+    assert outs[0] == outs[1]
+    assert seen == [
+        ("missing_e_census", 1), ("cubic_growth", 1),
+        ("missing_e_census", 2), ("cubic_growth", 2),
+    ]
