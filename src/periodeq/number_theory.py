@@ -4,9 +4,10 @@ Everything here is deterministic.  Primality uses the fixed Miller-Rabin
 witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
 particular for the full 64-bit range); larger n are refused, not guessed.
 Factorization is wheel trial division up to TRIAL_LIMIT, then Pollard-Brent
-on what is left, and the primitive root returned is always the smallest one.  The CRT primes of the modular period build are
-q ≡ 1 (mod modulus) just above CRT_PRIME_FLOOR = 2^29: below 2^30 each one
-is a single CPython digit, so arithmetic mod q stays in one-digit ints.
+on what is left, and the primitive root returned is always the smallest one.
+The CRT primes of the modular period build are q ≡ 1 (mod modulus) just
+above CRT_PRIME_FLOOR = 2^29: below 2^30 each one is a single CPython digit,
+so arithmetic mod q stays in one-digit ints.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ _BRENT_BATCH = 128
 
 
 def _pollard_brent(n: int) -> int:
-    """A proper divisor of the composite n with no prime factor below
-    TRIAL_LIMIT: Brent's cycle search on x -> x^2 + c mod n from x = 2,
-    c = 1, 2, ... until a gcd is neither 1 nor n."""
+    """A proper divisor of the composite n: Brent's cycle search on
+    x -> x^2 + c mod n from x = 2, for c = 1, 2, ... until a gcd is neither
+    1 nor n."""
     for c in range(1, n):
         y, r, acc, d = 2, 1, 1, 1
         while d == 1:
@@ -134,7 +135,8 @@ def factorize(n: int) -> dict[int, int]:
             out[q] = k
     d, i = 7, 0
     # d runs while d * d <= stop: to the end for n at or above
-    # PRIME_TEST_BOUND, else only while d <= TRIAL_LIMIT
+    # PRIME_TEST_BOUND, else only while d <= TRIAL_LIMIT; stop is updated
+    # only when n shrinks, so small n pay no extra test per divisor
     stop = n if n < _TRIAL_STOP or n >= PRIME_TEST_BOUND else _TRIAL_STOP
     while d * d <= stop:
         if n % d == 0:
