@@ -7,12 +7,16 @@ period polynomial satisfies D = k^2 * delta for the field discriminant
 delta and an integer index k >= 1; the period polynomial is monogenic
 (generates the ring of integers) precisely when k == 1.
 
-classify first tests psi against the two cyclotomic shapes: psi equal to
-Phi_p = 1 + x + ... + x^(p-1) when f == 1, and psi unfolding to Phi_p under
-x + 1/x when f == 2.  A match fixes D in closed form, with no remainder
-sequence: disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and the halving R, whose e
-roots 2cos(2 pi j/p) are all real, has disc(R) = p^(e-1).  Every other
-psi takes the subresultant chain.
+classify first compares psi's coefficients with the two cyclotomic shapes
+in closed form: Phi_p = 1 + x + ... + x^(p-1) when f == 1, and when f == 2
+the halving R of Phi_p under x + 1/x, the minimal polynomial of
+2cos(2 pi/p), whose coefficient of x^(e-j) is
+(-1)^floor(j/2) C(e - ceil(j/2), floor(j/2)).  That is O(e) per pair, and
+since x^e R(x + 1/x) = Phi_p determines R, it decides the same as unfolding
+psi and comparing with Phi_p.  A match fixes D in closed form, with no
+remainder sequence: disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e
+roots 2cos(2 pi j/p) are all real, has disc(R) = p^(e-1).  Every other psi
+takes the subresultant chain.
 
 k == 1 forces D == delta, so one prime q with D mod q != delta mod q
 proves k != 1 (index_certificate).  D mod q is the product of the squared
@@ -28,13 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import (
-    IntPoly,
-    Signature,
-    cyclotomic_prime,
-    demoivre_unfold,
-    discriminant_and_signature,
-)
+from .intpoly import IntPoly, Signature, cyclotomic_prime, discriminant_and_signature
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
 from .periods import PrimePeriods
 
@@ -145,11 +143,18 @@ class ClassificationRecord:
     match_kind: MatchKind
 
 
+def _halved_cyclotomic(e: int) -> tuple[int, ...]:
+    """Coefficients, low degree first, of the minimal polynomial of
+    2cos(2 pi/p) for p = 2e + 1, demoivre_reduce(cyclotomic_prime(p)):
+    the coefficient of x^(e-j) is (-1)^floor(j/2) C(e - ceil(j/2), floor(j/2))."""
+    return tuple((-1) ** (j // 2) * math.comb(e - (j + 1) // 2, j // 2) for j in range(e, -1, -1))
+
+
 def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
     """The cyclotomic shape psi equals exactly, or NO_MATCH."""
     if ctx.f == 1 and psi == cyclotomic_prime(ctx.p):
         return MatchKind.DIRECT_CYCLOTOMIC
-    if ctx.f == 2 and demoivre_unfold(psi) == cyclotomic_prime(ctx.p):
+    if ctx.f == 2 and psi.coeffs == _halved_cyclotomic(ctx.e):
         return MatchKind.REDUCED_CYCLOTOMIC
     return MatchKind.NO_MATCH
 
@@ -158,10 +163,12 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     """Full pipeline for one context: build, match, discriminate, divide.
 
     periods, if given, is the shared builder of ctx.p (a scan passes one per
-    p); otherwise a fresh one is made.  A psi that equals Phi_p (f == 1) or
-    its x + 1/x halving (f == 2) takes D in closed form, (-1)^((p-1)/2)
-    p^(p-2) or p^(e-1), and its known signature; any other psi takes D and
-    the signature from one subresultant chain.  Either way D is divided by
+    p); otherwise a fresh one is made.  psi's coefficients are compared, in
+    closed form and without unfolding, with those of Phi_p (f == 1) or of
+    its x + 1/x halving (f == 2).  A psi that equals its shape takes D in
+    closed form, (-1)^((p-1)/2) p^(p-2) or p^(e-1), and its known
+    signature; any other psi takes D and the signature from one
+    subresultant chain.  Either way D is divided by
     the field discriminant, and the signature is checked against the parity
     law: the period field is totally real when f is even and totally
     complex when f is odd.

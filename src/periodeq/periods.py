@@ -10,7 +10,8 @@ bound.  The modular one is organised by p: one PrimePeriods finds the CRT
 primes and the root-of-unity tables of p once and builds psi_e for every
 e | p - 1 from them, so a survey that visits many e of one p pays for those
 tables once.  It reconstructs the e periods mod M from their sums mod each
-prime and multiplies out prod (x - eta_i) once, modulo M.  The same tables
+prime and multiplies out prod (x - eta_i) once, modulo M, by a product tree
+whose levels multiply packed ints (Kronecker substitution).  The same tables
 give the periods modulo the first CRT prime without any reconstruction
 (period_residues), which is all a monogenicity certificate needs.
 """
@@ -114,6 +115,44 @@ def coefficient_bound(ctx: PrimeContext) -> int:
     return max(comb(e, j) * f**j for j in range(e + 1))
 
 
+_LEAF = 8  # linear factors per leaf of _product_mod's tree
+
+
+def _product_mod(etas: list[int], mod: int) -> list[int]:
+    """prod (x - eta) modulo mod, low degree first, for etas in [0, mod).
+
+    A subproduct tree: each run of _LEAF factors is multiplied out one factor
+    at a time, and sibling products are then multiplied by Kronecker
+    substitution.  A polynomial packs into one int, a little-endian slot of
+    `width` bytes per coefficient; a product coefficient is a sum of at most
+    len(etas) terms below mod**2, so it fits its slot and never carries into
+    the next one.  Each product is read back with to_bytes and reduced mod
+    mod slot by slot; an odd polynomial out is carried up a level as it is.
+    """
+    width = (2 * mod.bit_length() + len(etas).bit_length() + 8) // 8
+    polys = []
+    for start in range(0, len(etas), _LEAF):
+        coeffs = [1]
+        for eta in etas[start:start + _LEAF]:
+            # (x - eta) * coeffs: coefficient j is coeffs[j-1] - eta * coeffs[j]
+            coeffs = [(a - eta * b) % mod for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        polys.append(coeffs)
+
+    def pack(poly: list[int]) -> int:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in poly]), "little")
+
+    while len(polys) > 1:
+        paired = []
+        for a, b in zip(polys[::2], polys[1::2]):
+            size = (len(a) + len(b) - 1) * width
+            raw = (pack(a) * pack(b)).to_bytes(size, "little")
+            paired.append([int.from_bytes(raw[i:i + width], "little") % mod for i in range(0, size, width)])
+        if len(polys) % 2:
+            paired.append(polys[-1])
+        polys = paired
+    return polys[0]
+
+
 class PrimePeriods:
     """Every period polynomial of one prime p, built modulo shared primes.
 
@@ -130,9 +169,10 @@ class PrimePeriods:
     to get lucky on; primes are added lazily as larger e ask.  Sending zeta to
     the w's, combined by CRT, is a ring map Z[zeta] -> Z/M, so the periods
     are first combined into eta_i mod M (Garner's step on e sums) and the
-    product of the e linear factors is taken once, modulo M, whatever n is;
-    the symmetric lift of its coefficients is psi_e.  The first prime also
-    serves period_residues, the periods mod q alone.
+    product of the e linear factors is taken once, modulo M, whatever n is,
+    by the product tree of _product_mod; the symmetric lift of its
+    coefficients is psi_e.  The first prime also serves period_residues, the
+    periods mod q alone.
     """
 
     def __init__(self, p: int, g: int):
@@ -196,8 +236,9 @@ class PrimePeriods:
         return [sum(ys[i::e]) % q for i in range(e)]
 
     def polynomial(self, e: int) -> PeriodPolynomial:
-        """psi_e for a divisor e of p - 1, multiplied out modulo the product
-        of the shared primes that its coefficient bound asks for."""
+        """psi_e for a divisor e of p - 1, multiplied out by a product tree
+        modulo the product of the shared primes that its coefficient bound
+        asks for."""
         self._check_divisor(e)
         ctx = PrimeContext(p=self.p, e=e, f=(self.p - 1) // e, g=self.g)
         target = 2 * coefficient_bound(ctx)
@@ -212,12 +253,8 @@ class PrimePeriods:
             q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]
             etas = [val + mod * ((sum(ys[i::e]) - val) * inv % q) for i, val in enumerate(etas)]
         mod = self._moduli[n]
-        coeffs = [1]
-        for eta in etas:
-            # (x - eta) * coeffs: coefficient j is coeffs[j-1] - eta * coeffs[j]
-            coeffs = [(a - eta * b) % mod for a, b in zip([0, *coeffs], [*coeffs, 0])]
         half = mod // 2
-        coeffs = [val - mod if val > half else val for val in coeffs]
+        coeffs = [val - mod if val > half else val for val in _product_mod(etas, mod)]
         return PeriodPolynomial(ctx, IntPoly(coeffs))
 
 

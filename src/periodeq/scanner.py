@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -141,6 +140,8 @@ def _run_tasks(step, tasks: list[tuple[int, int]], worker_count: int) -> list:
     if worker_count <= 1 or len(groups) < 2:
         results = map(group, groups)
     else:
+        import multiprocessing  # here, so a serial run does not pay for its import
+
         chunk = max(1, len(groups) // (8 * worker_count))
         with multiprocessing.get_context().Pool(processes=worker_count) as pool:
             results = pool.map(group, groups, chunksize=chunk)

@@ -1,4 +1,5 @@
 import pickle
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -6,13 +7,22 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodeq.intpoly import IntPoly, Signature, discriminant_and_signature
+from periodeq.intpoly import (
+    IntPoly,
+    Signature,
+    cyclotomic_prime,
+    demoivre_reduce,
+    demoivre_unfold,
+    discriminant_and_signature,
+)
 from periodeq.monogeneity import (
     ClassificationRecord,
     FieldDiscriminant,
     MatchKind,
     NotDivisible,
     NotPerfectSquare,
+    _halved_cyclotomic,
+    _match_kind,
     classify,
     discriminant_residue,
     field_discriminant,
@@ -260,6 +270,41 @@ def test_psi_off_the_shape_takes_the_chain(monkeypatch):
     with pytest.raises(NotDivisible):
         classify(make_context(10, 1), periods)
     assert calls == [perturbed]
+
+
+def test_closed_form_halving_is_the_reduced_cyclotomic_polynomial():
+    for p in filter(is_prime, range(5, 601)):
+        assert _halved_cyclotomic((p - 1) // 2) == demoivre_reduce(cyclotomic_prime(p)).coeffs, p
+
+
+def test_closed_form_match_decides_as_unfolding_does():
+    # every f = 2 context with p <= 600, and the same psi with one
+    # coefficient moved by +-1, against the rule it replaces
+    rng = random.Random(2)
+    for ctx in contexts_with_p_up_to(600):
+        if ctx.f != 2:
+            continue
+        psi = period_polynomial_modular(ctx).poly
+        j = rng.randrange(ctx.e + 1)
+        moved = [IntPoly(psi.coeffs[:j] + (psi.coeffs[j] + s,) + psi.coeffs[j + 1:]) for s in (1, -1)]
+        for c in (psi, *moved):
+            unfolds = demoivre_unfold(c) == cyclotomic_prime(ctx.p)
+            want = MatchKind.REDUCED_CYCLOTOMIC if unfolds else MatchKind.NO_MATCH
+            assert _match_kind(ctx, c) is want, (ctx.e, j, c)
+        assert _match_kind(ctx, psi) is MatchKind.REDUCED_CYCLOTOMIC
+
+
+def test_classify_does_not_unfold(monkeypatch):
+    import periodeq.intpoly as intpoly_mod
+    import periodeq.monogeneity as mono_mod
+
+    def no_unfold(R):
+        raise AssertionError("classify unfolded psi")
+
+    monkeypatch.setattr(intpoly_mod, "demoivre_unfold", no_unfold)
+    monkeypatch.setattr(mono_mod, "demoivre_unfold", no_unfold, raising=False)
+    for e in (2, 3, 5, 6, 8, 9, 11, 14, 15, 18):
+        assert classify(make_context(e, 2)).match_kind is MatchKind.REDUCED_CYCLOTOMIC
 
 
 # -- certificate of k != 1 -------------------------------------------------

@@ -1,4 +1,9 @@
+import random
+from itertools import accumulate, islice
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodeq.intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, resultant
 from periodeq.number_theory import (
@@ -9,12 +14,14 @@ from periodeq.number_theory import (
     factorize,
     is_prime,
     make_context,
+    primes_in_progression,
     primitive_root,
 )
 from periodeq.periods import (
     NonIntegerCoefficient,
     PrimePeriods,
     _exponent_sets,
+    _product_mod,
     _rotate,
     coefficient_bound,
     period_polynomial_exact,
@@ -245,3 +252,38 @@ def test_period_residues_are_the_roots_of_psi_mod_q():
     for e in (5, 0, -1, 24):
         with pytest.raises(InvalidContext):
             PrimePeriods(13, 2).period_residues(e)
+
+
+# -- product tree ------------------------------------------------------------
+
+
+def _one_factor_at_a_time(etas, mod):
+    coeffs = [1]
+    for eta in etas:
+        coeffs = [(a - eta * b) % mod for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def test_product_tree_equals_the_one_factor_at_a_time_product():
+    # e < 8, e = 8 (one leaf), sizes off a multiple of 8 and odd counts at a
+    # level (e = 17 has leaves 8, 8, 1); M the product of 1 to 20 CRT primes
+    rng = random.Random(11)
+    moduli = list(accumulate(islice(primes_in_progression(2 * 41), 20), lambda a, b: a * b))
+    for e in range(1, 41):
+        for mod in moduli:
+            for etas in (
+                [rng.randrange(mod) for _ in range(e)],
+                [mod - 1] * e,  # the largest slot values
+                [rng.choice((0, rng.randrange(mod))) for _ in range(e)],
+            ):
+                assert _product_mod(etas, mod) == _one_factor_at_a_time(etas, mod), (e, mod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0), min_size=1, max_size=70),
+    st.integers(min_value=1, max_value=1 << 700),
+)
+def test_product_tree_equals_the_one_factor_at_a_time_product_hypothesis(raw, mod):
+    etas = [x % mod for x in raw]
+    assert _product_mod(etas, mod) == _one_factor_at_a_time(etas, mod)

@@ -1,12 +1,17 @@
 import math
+import os
 import pickle
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from periodeq.intpoly import IntPoly, Signature
 from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
-from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, make_context
+import periodeq
+from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
 from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
@@ -103,6 +108,21 @@ def test_missing_e_small():
     assert missing_e_census(8, 2000) == (7,)
 
 
+def test_census_over_the_extended_interval_p2000():
+    # the paper's e <= 250 with primes up to 2000: e is missing exactly when
+    # neither e + 1 nor 2e + 1 is prime, as at p <= 503 (acceptance 12)
+    want = tuple(e for e in range(4, 251) if not (is_prime(e + 1) or is_prime(2 * e + 1)))
+    assert missing_e_census(250, 2000) == want
+
+
+def test_serial_import_leaves_multiprocessing_out():
+    src = str(Path(periodeq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, periodeq, periodeq.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _record(e, f, monogenic, match):
     p = e * f + 1
     return ClassificationRecord(
@@ -156,10 +176,10 @@ def test_parallel_surveys_do_not_depend_on_the_start_method(monkeypatch):
     # result must cross by pickle
     import multiprocessing
 
-    import periodeq.scanner as scanner_mod
-
     spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(scanner_mod.multiprocessing, "get_context", lambda *args: spawn)
+    # the scanner imports multiprocessing on its pool branch, so this patch
+    # is what it finds there
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: spawn)
     spec = ScanSpec(4, 10, 100)
     assert scan(ScanSpec(4, 10, 100, worker_count=2)).records == scan(spec).records
     assert missing_e_census(20, 100, worker_count=2) == missing_e_census(20, 100)
