@@ -37,7 +37,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--e-max", type=int, default=60)
     parser.add_argument("--p-bound", type=int, default=5000)
     parser.add_argument("--census-e-max", type=int, default=250)
-    parser.add_argument("--census-p-bound", type=int, default=2000)
+    parser.add_argument("--census-p-bound", type=int, default=10**4)
     parser.add_argument("--doublet-e-max", type=int, default=10**4)
     parser.add_argument("--cubic-p-bound", type=int, default=10**4)
     parser.add_argument("--workers", type=int, default=1)

@@ -23,7 +23,6 @@ from itertools import zip_longest
 
 from .intpoly import (
     IntPoly,
-    NotSquarefree,
     Signature,
     cyclotomic_prime,
     demoivre_reduce,
@@ -450,7 +449,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InternalContradiction, NotSquarefree) as exc:
+    except InternalContradiction as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

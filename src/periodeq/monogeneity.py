@@ -16,7 +16,13 @@ since x^e R(x + 1/x) = Phi_p determines R, it decides the same as unfolding
 psi and comparing with Phi_p.  A match fixes D in closed form, with no
 remainder sequence: disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e
 roots 2cos(2 pi j/p) are all real, has disc(R) = p^(e-1).  Every other psi
-takes the subresultant chain.
+takes D from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
+period differences, rational integers of at most (2f)^e that
+PrimePeriods.norms lifts from the periods mod M > 2 (2f)^e, with no
+remainder sequence; psi(1) == prod (1 - eta_i) ties psi's coefficients to
+those periods.  The signature of every psi is Gauss's rule: -1 lies in the
+subgroup of order f exactly when f is even, so the period field is totally
+real for even f and totally complex for odd f.
 
 k == 1 forces D == delta, so one prime q with D mod q != delta mod q
 proves k != 1 (index_certificate).  D mod q is the product of the squared
@@ -32,7 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import IntPoly, Signature, cyclotomic_prime, discriminant_and_signature
+from .intpoly import IntPoly, Signature, cyclotomic_prime
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
 from .periods import PrimePeriods
 
@@ -166,33 +172,37 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     p); otherwise a fresh one is made.  psi's coefficients are compared, in
     closed form and without unfolding, with those of Phi_p (f == 1) or of
     its x + 1/x halving (f == 2).  A psi that equals its shape takes D in
-    closed form, (-1)^((p-1)/2) p^(p-2) or p^(e-1), and its known
-    signature; any other psi takes D and the signature from one
-    subresultant chain.  Either way D is divided by
-    the field discriminant, and the signature is checked against the parity
-    law: the period field is totally real when f is even and totally
-    complex when f is odd.
+    closed form, (-1)^((p-1)/2) p^(p-2) or p^(e-1); any other psi takes D
+    from the Galois norms of the period differences (PrimePeriods.norms),
+    and its lifted coefficients are tied to the periods by
+    psi(1) == prod (1 - eta_i).  Either way D is divided by the field
+    discriminant.  The signature follows from Gauss's rule that -1 lies in
+    the subgroup of order f exactly when f is even: the period field is then
+    totally real, and otherwise totally complex.
     """
     if periods is None:
         periods = PrimePeriods(ctx.p, ctx.g)
     elif periods.p != ctx.p:
         raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {ctx.p}")
-    e, p = ctx.e, ctx.p
+    e, f, p = ctx.e, ctx.f, ctx.p
     psi = periods.polynomial(e).poly
     match = _match_kind(ctx, psi)
     if match is MatchKind.DIRECT_CYCLOTOMIC:
-        disc, sig = (-1) ** ((p - 1) // 2) * p ** (p - 2), Signature(0, e // 2)
+        disc = (-1) ** ((p - 1) // 2) * p ** (p - 2)
     elif match is MatchKind.REDUCED_CYCLOTOMIC:
-        disc, sig = p ** (e - 1), Signature(e, 0)
+        disc = p ** (e - 1)
     else:
-        disc, sig = discriminant_and_signature(psi)
-    delta = field_discriminant(e, ctx.f, p)
+        disc, at_one = periods.norms(e)
+        if sum(psi.coeffs) != at_one:
+            raise InternalContradiction(
+                f"psi(1) = {sum(psi.coeffs)} differs from the norm {at_one} of its periods "
+                f"for (e={e}, f={f})"
+            )
+    delta = field_discriminant(e, f, p)
     k2, k = index_squared(disc, delta)
-    if sig.n_real != (e if ctx.f % 2 == 0 else 0):
-        raise InternalContradiction(f"{sig.n_real} real roots break the parity law for f = {ctx.f}")
     return ClassificationRecord(
         e=e,
-        f=ctx.f,
+        f=f,
         p=p,
         g=ctx.g,
         psi=psi,
@@ -201,6 +211,6 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
         k_squared=k2,
         k=k,
         monogenic=k == 1,
-        signature=sig,
+        signature=Signature(e, 0) if f % 2 == 0 else Signature(0, e // 2),
         match_kind=match,
     )

@@ -11,8 +11,10 @@ primes and the root-of-unity tables of p once and builds psi_e for every
 e | p - 1 from them, so a survey that visits many e of one p pays for those
 tables once.  It reconstructs the e periods mod M from their sums mod each
 prime and multiplies out prod (x - eta_i) once, modulo M, by a product tree
-whose levels multiply packed ints (Kronecker substitution).  The same tables
-give the periods modulo the first CRT prime without any reconstruction
+whose levels multiply packed ints (Kronecker substitution).  The same
+reconstruction, modulo M > 2 (2f)^e, gives psi_e's discriminant exactly from
+the Galois norms of the period differences (norms).  The tables also give
+the periods modulo the first CRT prime without any reconstruction
 (period_residues), which is all a monogenicity certificate needs.
 """
 
@@ -118,6 +120,11 @@ def coefficient_bound(ctx: PrimeContext) -> int:
 _LEAF = 8  # linear factors per leaf of _product_mod's tree
 
 
+def _lift(val: int, mod: int) -> int:
+    """The representative of val mod mod in (-mod/2, mod/2]."""
+    return val - mod if val > mod // 2 else val
+
+
 def _product_mod(etas: list[int], mod: int) -> list[int]:
     """prod (x - eta) modulo mod, low degree first, for etas in [0, mod).
 
@@ -171,8 +178,9 @@ class PrimePeriods:
     are first combined into eta_i mod M (Garner's step on e sums) and the
     product of the e linear factors is taken once, modulo M, whatever n is,
     by the product tree of _product_mod; the symmetric lift of its
-    coefficients is psi_e.  The first prime also serves period_residues, the
-    periods mod q alone.
+    coefficients is psi_e.  norms takes the periods mod M through the same
+    Garner step (_periods_mod), with the bound (2f)^e of the norms.  The
+    first prime also serves period_residues, the periods mod q alone.
     """
 
     def __init__(self, p: int, g: int):
@@ -235,15 +243,12 @@ class PrimePeriods:
         q, ys = self.residue_prime, self._ys[0]
         return [sum(ys[i::e]) % q for i in range(e)]
 
-    def polynomial(self, e: int) -> PeriodPolynomial:
-        """psi_e for a divisor e of p - 1, multiplied out by a product tree
-        modulo the product of the shared primes that its coefficient bound
-        asks for."""
-        self._check_divisor(e)
-        ctx = PrimeContext(p=self.p, e=e, f=(self.p - 1) // e, g=self.g)
-        target = 2 * coefficient_bound(ctx)
+    def _periods_mod(self, e: int, bound: int) -> tuple[list[int], int]:
+        """([eta_0, ..., eta_(e-1)] mod M, M) for a divisor e of p - 1, where M
+        is the product of the fewest shared primes with M > 2 * bound, so an
+        integer of absolute value at most bound lifts exactly from mod M."""
         n = 0
-        while self._moduli[n] <= target:
+        while self._moduli[n] <= 2 * bound:
             n += 1
             if n > len(self._primes):
                 self._add_prime()
@@ -252,10 +257,45 @@ class PrimePeriods:
         for k in range(n):
             q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]
             etas = [val + mod * ((sum(ys[i::e]) - val) * inv % q) for i, val in enumerate(etas)]
-        mod = self._moduli[n]
-        half = mod // 2
-        coeffs = [val - mod if val > half else val for val in _product_mod(etas, mod)]
-        return PeriodPolynomial(ctx, IntPoly(coeffs))
+        return etas, self._moduli[n]
+
+    def polynomial(self, e: int) -> PeriodPolynomial:
+        """psi_e for a divisor e of p - 1, multiplied out by a product tree
+        modulo the product of the shared primes that its coefficient bound
+        asks for."""
+        self._check_divisor(e)
+        ctx = PrimeContext(p=self.p, e=e, f=(self.p - 1) // e, g=self.g)
+        etas, mod = self._periods_mod(e, coefficient_bound(ctx))
+        return PeriodPolynomial(ctx, IntPoly([_lift(val, mod) for val in _product_mod(etas, mod)]))
+
+    def norms(self, e: int) -> tuple[int, int]:
+        """(D, psi_e(1)) for a divisor e of p - 1, from Galois norms of the
+        periods and no remainder sequence.
+
+        sigma: eta_i -> eta_(i+1 mod e) generates the Galois group, so
+        N_d = prod_i (eta_i - eta_(i+d mod e)) is the norm of eta_0 - eta_d, a
+        rational integer, and psi_e(1) = prod_i (1 - eta_i) the norm of
+        1 - eta_0.  Each eta is a sum of f roots of unity, so both are at most
+        (2f)^e in absolute value and lift exactly from mod M > 2 (2f)^e.
+        Reindexing gives N_(e-d) = (-1)^e N_d, and
+        D = (-1)^(e(e-1)/2) prod over d = 1 .. e-1 of N_d, so the floor(e/2)
+        norms with d <= e/2 take about e^2/2 products mod M.
+        """
+        self._check_divisor(e)
+        f = (self.p - 1) // e
+        etas, mod = self._periods_mod(e, (2 * f) ** e)
+        at_one = 1
+        for eta in etas:
+            at_one = at_one * (1 - eta) % mod
+        disc = (-1) ** (e * (e - 1) // 2)
+        for d in range(1, e // 2 + 1):
+            norm = 1
+            for a, b in zip(etas, etas[d:] + etas[:d]):
+                norm = norm * (a - b) % mod
+            norm = _lift(norm, mod)
+            # d and e - d together contribute N_d * N_(e-d) = (-1)^e N_d^2
+            disc *= norm if 2 * d == e else (-1) ** e * norm * norm
+        return disc, _lift(at_one, mod)
 
 
 def period_polynomial_modular(ctx: PrimeContext) -> PeriodPolynomial:

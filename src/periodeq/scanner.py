@@ -6,11 +6,13 @@ one shared PrimePeriods.  Results are merged back into the tasks' order
 whatever the worker count, so any two runs of the same spec produce
 byte-identical serialized output.
 
-scan classifies every pair exactly and keeps every record.  The census,
-the full doublet survey and the cubic counts need only which pairs are
-monogenic: they take index_certificate's proof of k != 1 where it exists
-and classify the other pairs, whose exact D is checked against the residue
-the certificate computed.
+scan classifies every pair exactly and keeps every record; no remainder
+sequence runs, since classify takes D in closed form or from the Galois
+norms of the period differences.  The census, the full doublet survey and
+the cubic counts need only which pairs are monogenic: they take
+index_certificate's proof of k != 1 where it exists and classify the other
+pairs, whose exact D is checked against the residue the certificate
+computed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .intpoly import NotSquarefree
 from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
 from .number_theory import (
     PRIME_TEST_BOUND,
@@ -111,7 +112,7 @@ def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
             if periods is None:
                 periods = PrimePeriods(ctx.p, ctx.g)
             out.append(step(ctx, periods))
-        except (InternalContradiction, NotSquarefree) as exc:
+        except InternalContradiction as exc:
             raise ScanFailure(e, f, str(exc)) from exc
     return out
 
@@ -122,7 +123,10 @@ def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods) -> Classific
         return None
     rec = classify(ctx, periods)
     # without a certificate the residue product equals delta mod q, and the
-    # exact D must agree with it
+    # exact D must agree with it.  A matched pair's closed-form D is tied to
+    # the residues here; an unmatched pair's D comes from the same periods
+    # (M is a multiple of q), so this re-derives the residue product and
+    # checks only the sign rule of the norms
     q = periods.residue_prime
     if rec.poly_discriminant % q != rec.field_discriminant.value() % q:
         raise InternalContradiction(f"exact D differs from its residue product mod {q}")

@@ -547,17 +547,37 @@ def test_scan_counterexample_exit(monkeypatch, capsys):
 
 
 def test_scan_internal_contradiction_exits_4(monkeypatch, capsys):
-    import periodeq.monogeneity as mono_mod
-    from periodeq.number_theory import InternalContradiction
+    from periodeq.periods import PrimePeriods
 
-    def explode(psi):
-        raise InternalContradiction("forced")
+    real = PrimePeriods.norms
 
-    # (5, 2) matches the halving of Phi_11 and never reaches the chain; (5, 6) does
-    monkeypatch.setattr(mono_mod, "discriminant_and_signature", explode)
+    def doubled(self, e):
+        disc, at_one = real(self, e)
+        return 2 * disc, at_one
+
+    # (5, 2) matches the halving of Phi_11 and never takes the norms; (5, 6)
+    # does, and 2 * D over delta is 2 k^2, not a square
+    monkeypatch.setattr(PrimePeriods, "norms", doubled)
     code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32"])
     assert code == 4
-    assert "(e=5, f=6)" in err and "forced" in err
+    assert "(e=5, f=6)" in err and "not a square" in err
+
+
+def test_scan_zero_norm_exits_4(monkeypatch, capsys):
+    from periodeq.periods import PrimePeriods
+
+    real = PrimePeriods._periods_mod
+
+    def all_minus_one(self, e, bound):
+        etas, mod = real(self, e, bound)
+        return ([mod - 1] * e if self.p == 31 else etas), mod
+
+    # periods of p = 31 all equal to -1: psi = (x + 1)^5 still passes the
+    # psi(1) tie, and every norm N_d is zero
+    monkeypatch.setattr(PrimePeriods, "_periods_mod", all_minus_one)
+    code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32"])
+    assert code == 4
+    assert "(e=5, f=6)" in err and "zero" in err
 
 
 def test_scan_closed_form_contradiction_exits_4(monkeypatch, capsys):

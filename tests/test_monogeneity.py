@@ -13,6 +13,7 @@ from periodeq.intpoly import (
     cyclotomic_prime,
     demoivre_reduce,
     demoivre_unfold,
+    discriminant,
     discriminant_and_signature,
 )
 from periodeq.monogeneity import (
@@ -215,20 +216,6 @@ def test_classify_uses_shared_periods_of_its_own_p():
         classify(ctx, PrimePeriods(13, 2))
 
 
-def test_classify_checks_parity_law(monkeypatch):
-    import periodeq.monogeneity as mono_mod
-
-    real = mono_mod.discriminant_and_signature
-
-    def wrong_signature(psi):
-        disc, sig = real(psi)
-        return disc, Signature(sig.n_real - 2, sig.n_complex_pairs + 1)
-
-    monkeypatch.setattr(mono_mod, "discriminant_and_signature", wrong_signature)
-    with pytest.raises(InternalContradiction, match="parity law"):
-        classify(make_context(4, 4))
-
-
 def test_closed_form_of_cyclotomic_shapes_agrees_with_the_chain():
     contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f in (1, 2)]
     contexts += [make_context(250, 1), make_context(239, 2)]
@@ -243,33 +230,70 @@ def test_closed_form_of_cyclotomic_shapes_agrees_with_the_chain():
 
 
 def test_matched_shapes_skip_the_chain(monkeypatch):
-    import periodeq.monogeneity as mono_mod
+    import periodeq.intpoly as intpoly_mod
 
-    def no_chain(psi):
-        raise AssertionError("the chain ran on a matched pair")
+    def no_chain(*args):
+        raise AssertionError("the chain or the norms ran on a matched pair")
 
-    monkeypatch.setattr(mono_mod, "discriminant_and_signature", no_chain)
+    monkeypatch.setattr(intpoly_mod, "_subresultant_chain", no_chain)
+    monkeypatch.setattr(PrimePeriods, "norms", no_chain)
     assert classify(make_context(10, 1)).match_kind is MatchKind.DIRECT_CYCLOTOMIC
     assert classify(make_context(5, 2)).match_kind is MatchKind.REDUCED_CYCLOTOMIC
 
 
-def test_psi_off_the_shape_takes_the_chain(monkeypatch):
-    import periodeq.monogeneity as mono_mod
+def test_classify_never_runs_the_chain(monkeypatch):
+    import periodeq.intpoly as intpoly_mod
 
-    calls = []
+    def no_chain(*args):
+        raise AssertionError("classify ran the subresultant chain")
 
-    def spy(psi):
-        calls.append(psi)
-        return discriminant_and_signature(psi)
+    # every public chain function reaches these two through intpoly's globals
+    for name in ("_prem", "_subresultant_chain"):
+        monkeypatch.setattr(intpoly_mod, name, no_chain)
+    kinds = {classify(ctx).match_kind for ctx in contexts_with_p_up_to(60)}
+    assert kinds == set(MatchKind)
 
-    monkeypatch.setattr(mono_mod, "discriminant_and_signature", spy)
+
+def test_psi_off_the_shape_must_match_its_norms(monkeypatch):
     # Phi_11 with constant term 2: the closed form would call it monogenic,
-    # while its true D is not divisible by the field discriminant -11^9
+    # while the periods of p = 11 give prod (1 - eta_i) = Phi_11(1) = 11,
+    # not the perturbed psi(1) = 12
     perturbed = IntPoly((2,) + (1,) * 10)
-    periods = SimpleNamespace(p=11, polynomial=lambda e: SimpleNamespace(poly=perturbed))
-    with pytest.raises(NotDivisible):
+    periods = PrimePeriods(11, 2)
+    monkeypatch.setattr(periods, "polynomial", lambda e: SimpleNamespace(poly=perturbed))
+    with pytest.raises(InternalContradiction, match=r"psi\(1\) = 12 .* norm 11 .*\(e=10, f=1\)"):
         classify(make_context(10, 1), periods)
-    assert calls == [perturbed]
+
+
+def test_norm_discriminant_equals_the_chain():
+    # every f >= 3 pair with p <= 300, and two with e >= 100
+    contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f >= 3]
+    contexts += [make_context(102, 3), make_context(104, 3)]
+    assert {ctx.e % 4 for ctx in contexts} == {0, 1, 2, 3}
+    shared: dict[int, PrimePeriods] = {}
+    for ctx in contexts:
+        if ctx.p not in shared:
+            shared[ctx.p] = PrimePeriods(ctx.p, ctx.g)
+        periods = shared[ctx.p]
+        psi = periods.polynomial(ctx.e).poly
+        disc, at_one = periods.norms(ctx.e)
+        want = discriminant(psi) if ctx.e > 1 else 1
+        assert (disc, at_one) == (want, sum(psi.coeffs)), (ctx.e, ctx.f)
+        assert classify(ctx, periods).poly_discriminant == disc
+
+
+def test_zero_norm_raises_not_divisible(monkeypatch):
+    real = PrimePeriods._periods_mod
+
+    def all_minus_one(self, e, bound):
+        etas, mod = real(self, e, bound)
+        return [mod - 1] * e, mod
+
+    # periods all equal to -1: psi = (x + 1)^6 agrees with prod (1 - eta_i)
+    # = 2^6, and every norm N_d is zero
+    monkeypatch.setattr(PrimePeriods, "_periods_mod", all_minus_one)
+    with pytest.raises(NotDivisible, match="zero"):
+        classify(make_context(6, 3))
 
 
 def test_closed_form_halving_is_the_reduced_cyclotomic_polynomial():
