@@ -3,23 +3,25 @@
 For p = e*f + 1 prime with primitive root g, the i-th period is
 eta_i = sum over k < f of zeta^(g^(k*e+i)), zeta a primitive p-th root of
 unity.  The period polynomial psi_e = prod (x - eta_i) has integer
-coefficients; two independent constructions are provided, one exact, on
-integer coordinate vectors over 1, zeta, ..., zeta^(p-1), and one modular,
-modulo a product M of CRT primes that exceeds twice a proven coefficient
-bound.  The modular one is organised by p: one PrimePeriods finds the CRT
-primes and the root-of-unity tables of p once and builds psi_e for every
-e | p - 1 from them, so a survey that visits many e of one p pays for those
-tables once.  It reconstructs the e periods mod M from their sums mod each
-prime and multiplies out prod (x - eta_i) once, modulo M, by a product tree
-whose levels multiply packed ints (Kronecker substitution).  The same
-reconstruction, modulo M > 2 (2f)^e, gives psi_e's discriminant exactly from
-the Galois norms of the period differences (norms).  The tables also give
+coefficients; two independent constructions are provided, one exact, from
+the power sums of the periods, which count the sums of elements of the
+subgroup of order f, and Newton's identities, and one modular, modulo a
+product M of CRT primes that exceeds twice a proven coefficient bound.  The
+modular one is organised by p: one PrimePeriods finds the CRT primes and the
+root-of-unity tables of p once and builds psi_e for every e | p - 1 from
+them, so a survey that visits many e of one p pays for those tables once.
+It reconstructs the e periods mod M from their sums mod each prime and
+multiplies out prod (x - eta_i) once, modulo M, by a product tree whose
+levels multiply packed ints (Kronecker substitution).  The same
+reconstruction, continued to M > 2 (2f)^e, gives psi_e's discriminant exactly
+from the Galois norms of the period differences (norms).  The tables also give
 the periods modulo the first CRT prime without any reconstruction
 (period_residues), which is all a monogenicity certificate needs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -36,7 +38,7 @@ from .number_theory import (
 
 
 class NonIntegerCoefficient(InternalContradiction):
-    """Raised if a supposedly rational-integer coefficient fails to collapse."""
+    """Raised if a coefficient that must be a rational integer is not one."""
 
 
 def _power_table(p: int, g: int) -> list[int]:
@@ -47,12 +49,6 @@ def _power_table(p: int, g: int) -> list[int]:
     return tab
 
 
-def _exponent_sets(ctx: PrimeContext) -> list[list[int]]:
-    """For each class index i, the exponents g^(k*e+i) mod p, k = 0 .. f-1."""
-    tab = _power_table(ctx.p, ctx.g)
-    return [tab[i::ctx.e] for i in range(ctx.e)]
-
-
 @dataclass(frozen=True)
 class PeriodPolynomial:
     """A period polynomial together with the context that produced it."""
@@ -61,54 +57,46 @@ class PeriodPolynomial:
     poly: IntPoly
 
 
-def _rotate(v: list[int], a: int) -> list[int]:
-    # multiply by zeta^a on length-p cyclic coordinates, 0 <= a < p
-    return v if a == 0 else v[-a:] + v[:-a]
+def _period_power_sums(ctx: PrimeContext) -> list[int]:
+    """[S_1, ..., S_e], S_k = sum_i eta_i^k, from counts of sums in H.
+
+    H = {g^(k*e)} has order f, and eta_i^k sums zeta^(g^i s) over the k-tuples
+    from H with sum s.  Their number is constant on each coset g^j H, so
+    counts[j] holds it for s = g^j and counts[e] for s = 0.  A tuple with
+    s = 0 gives e; over a coset g^j H, sum_i zeta^(g^i s) covers every nonzero
+    power of zeta once, so S_k = e * counts[e] - sum_j counts[j].  A tuple
+    sums to r when all but its last entry h sum to r - h, so one step k -> k+1
+    is a row per r = g^j or 0 with at most f classes: O(p) per step.
+    """
+    p, e = ctx.p, ctx.e
+    tab = _power_table(p, ctx.g)
+    cls = [e] * p  # cls[x] = ind_g(x) mod e for x != 0, and e for x = 0
+    for t, x in enumerate(tab):
+        cls[x] = t % e
+    rows = [Counter(cls[(r - h) % p] for h in tab[::e]).items() for r in (*tab[:e], 0)]
+    counts = [0] * e + [1]  # k = 0: only the empty tuple, with sum 0
+    sums = []
+    for _ in range(e):
+        counts = [sum(n * counts[c] for c, n in row) for row in rows]
+        sums.append(e * counts[e] - sum(counts[:e]))
+    return sums
 
 
 def period_polynomial_exact(ctx: PrimeContext) -> PeriodPolynomial:
-    """Expand prod (x - eta_i) in exact cyclotomic-integer arithmetic.
+    """psi_e exactly, from the power sums of the periods and no modular step.
 
-    Internally the coefficients live on the full cyclic basis 1 .. zeta^(p-1)
-    (length-p vectors); multiplying by a period is f rotations and adds.
-    Every final coefficient must collapse to a rational integer, else
-    NonIntegerCoefficient signals a broken invariant.
+    With a_k = (-1)^k e_k, psi_e's coefficient of x^(e-k), Newton's identities
+    read k * a_k = -sum_(i=1..k) a_(k-i) S_i.  Every a_k is a rational
+    integer, so a remainder in the division by k raises NonIntegerCoefficient.
     """
-    p = ctx.p
-    exps = _exponent_sets(ctx)
-
-    def eta_times(v: list[int], A: list[int]) -> list[int]:
-        acc = _rotate(v, A[0])[:]
-        for a in A[1:]:
-            r = _rotate(v, a)
-            for t in range(p):
-                acc[t] += r[t]
-        return acc
-
-    one = [0] * p
-    one[0] = 1
-    prod: list[list[int]] = [one]
-    for i in range(ctx.e):
-        A = exps[i]
-        shifted = [eta_times(c, A) for c in prod]
-        new: list[list[int]] = [[-t for t in shifted[0]]]
-        for j in range(1, len(prod)):
-            prev = prod[j - 1]
-            sh = shifted[j]
-            new.append([prev[t] - sh[t] for t in range(p)])
-        new.append(prod[-1])
-        prod = new
-
-    ints: list[int] = []
-    for vec in prod:
-        first = vec[1]
-        for t in range(2, p):
-            if vec[t] != first:
-                raise NonIntegerCoefficient(
-                    f"coefficient vector fails to collapse for (e={ctx.e}, f={ctx.f})"
-                )
-        ints.append(vec[0] - first)
-    return PeriodPolynomial(ctx, IntPoly(ints))
+    sums = _period_power_sums(ctx)
+    high = [1]
+    for k in range(1, ctx.e + 1):
+        a_k, remainder = divmod(-sum(a * s for a, s in zip(reversed(high), sums)), k)
+        if remainder:
+            raise NonIntegerCoefficient(f"psi has a non-integer coefficient for (e={ctx.e}, f={ctx.f})")
+        high.append(a_k)
+    return PeriodPolynomial(ctx, IntPoly(high[::-1]))
 
 
 def coefficient_bound(ctx: PrimeContext) -> int:
@@ -179,7 +167,8 @@ class PrimePeriods:
     product of the e linear factors is taken once, modulo M, whatever n is,
     by the product tree of _product_mod; the symmetric lift of its
     coefficients is psi_e.  norms takes the periods mod M through the same
-    Garner step (_periods_mod), with the bound (2f)^e of the norms.  The
+    Garner step (_periods_mod), with the bound (2f)^e of the norms, and
+    continues the reconstruction that polynomial(e) left.  The
     first prime also serves period_residues, the periods mod q alone.
     """
 
@@ -200,6 +189,8 @@ class PrimePeriods:
         # _inverses[k] the inverse of _moduli[k] modulo the k-th prime
         self._moduli = [1]
         self._inverses: list[int] = []
+        # per e, the furthest reconstruction (n, [eta_i mod _moduli[n]])
+        self._etas: dict[int, tuple[int, list[int]]] = {}
 
     def _add_prime(self) -> None:
         p = self.p
@@ -246,18 +237,25 @@ class PrimePeriods:
     def _periods_mod(self, e: int, bound: int) -> tuple[list[int], int]:
         """([eta_0, ..., eta_(e-1)] mod M, M) for a divisor e of p - 1, where M
         is the product of the fewest shared primes with M > 2 * bound, so an
-        integer of absolute value at most bound lifts exactly from mod M."""
+        integer of absolute value at most bound lifts exactly from mod M.
+
+        Garner's step gives eta_i mod _moduli[k] in [0, _moduli[k]) after its
+        k-th prime, so the furthest reconstruction of each e is kept: a
+        larger bound continues it, and a smaller one reduces it mod M.
+        """
         n = 0
         while self._moduli[n] <= 2 * bound:
             n += 1
             if n > len(self._primes):
                 self._add_prime()
-        # Garner: eta_i mod M = _moduli[n] from its sums mod each of the n primes
-        etas = [0] * e
-        for k in range(n):
+        done, etas = self._etas.get(e, (0, [0] * e))
+        for k in range(done, n):
             q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]
             etas = [val + mod * ((sum(ys[i::e]) - val) * inv % q) for i, val in enumerate(etas)]
-        return etas, self._moduli[n]
+        if n > done:
+            self._etas[e] = (n, etas)
+        mod = self._moduli[n]
+        return [val % mod for val in etas], mod
 
     def polynomial(self, e: int) -> PeriodPolynomial:
         """psi_e for a divisor e of p - 1, multiplied out by a product tree

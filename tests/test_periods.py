@@ -1,6 +1,7 @@
 import random
 from itertools import accumulate, islice
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,8 @@ from periodeq.number_theory import (
 from periodeq.periods import (
     NonIntegerCoefficient,
     PrimePeriods,
-    _exponent_sets,
+    _period_power_sums,
     _product_mod,
-    _rotate,
     coefficient_bound,
     period_polynomial_exact,
     period_polynomial_modular,
@@ -42,23 +42,10 @@ def all_contexts(p_max):
 # -- periods -------------------------------------------------------------
 
 
-def test_root_powers_multiply_by_exponent_addition():
-    # on length-p coordinates over 1, zeta, ..., zeta^(p-1), _rotate(v, b) is zeta^b * v
-    for p in (5, 7, 11):
-        for a in range(p):
-            unit = [0] * p
-            unit[a] = 1
-            for b in range(p):
-                want = [0] * p
-                want[(a + b) % p] = 1
-                assert _rotate(unit, b) == want
-
-
 def test_period_examples_p5():
     ctx = make_context(2, 2)
     assert ctx.p == 5
     # eta_0 = zeta + zeta^4, eta_1 = zeta^2 + zeta^3
-    assert _exponent_sets(ctx) == [[1, 4], [2, 3]]
     assert period_polynomial_exact(ctx).poly == IntPoly((-1, 1, 1))
 
 
@@ -66,23 +53,52 @@ def test_period_sum_is_minus_one():
     # the periods split the exponents 1 .. p-1, so they sum to
     # zeta + ... + zeta^(p-1) = -1 and psi has x^(e-1) coefficient 1
     for ctx in all_contexts(60):
-        exps = _exponent_sets(ctx)
-        assert sorted(a for A in exps for a in A) == list(range(1, ctx.p))
         assert period_polynomial_exact(ctx).poly.coeffs[ctx.e - 1] == 1, (ctx.e, ctx.f)
 
 
 def test_f1_periods_are_root_powers():
-    ctx = make_context(6, 1)
-    assert _exponent_sets(ctx) == [[pow(ctx.g, i, 7)] for i in range(6)]
+    # for f = 1 the periods are zeta^x, x = 1 .. p-1, so for 0 < k < p each
+    # power sum is zeta^k + ... + zeta^(k(p-1)) = -1
+    for p in (3, 7, 11, 31):
+        assert _period_power_sums(make_context(p - 1, 1)) == [-1] * (p - 1), p
 
 
-def test_exact_build_rejects_uncollapsed_coefficients(monkeypatch):
+def test_exact_build_rejects_non_integer_coefficients(monkeypatch, capsys):
     import periodeq.periods as periods_mod
+    from periodeq.cli import main
 
-    # {1, 2} and {3, 4} are not Galois orbits: (zeta + zeta^2)(zeta^3 + zeta^4) is not rational
-    monkeypatch.setattr(periods_mod, "_exponent_sets", lambda ctx: [[1, 2], [3, 4]])
-    with pytest.raises(NonIntegerCoefficient):
+    # S_1 = 0 and S_2 = 1 give e_2 = (e_1 S_1 - S_2) / 2 = -1/2
+    monkeypatch.setattr(periods_mod, "_period_power_sums", lambda ctx: [0, 1])
+    with pytest.raises(NonIntegerCoefficient, match=r"\(e=2, f=2\)"):
         period_polynomial_exact(make_context(2, 2))
+    assert main(["psi", "--e", "2", "--f", "2", "--engine", "exact"]) == 4
+    assert "(e=2, f=2)" in capsys.readouterr().err
+
+
+def test_exact_build_equals_the_periods_numerically():
+    # the definition itself: eta_i = sum_k exp(2 pi i g^(ke+i) / p), and
+    # prod (x - eta_i) multiplied out in 60-digit complex arithmetic, with
+    # no integer route shared with either builder
+    contexts = all_contexts(100)
+    assert len(contexts) == 159
+    with mpmath.workdps(60):
+        for ctx in contexts:
+            p, e, f = ctx.p, ctx.e, ctx.f
+            zeta = [mpmath.expjpi(mpmath.mpf(2 * x) / p) for x in range(p)]
+            coeffs = [mpmath.mpc(1)]  # high degree first
+            for i in range(e):
+                eta = mpmath.fsum(zeta[pow(ctx.g, k * e + i, p)] for k in range(f))
+                coeffs = [a - eta * b for a, b in zip([*coeffs, 0], [0, *coeffs])]
+            rounded = [int(mpmath.nint(c.real)) for c in coeffs]
+            assert all(abs(c - r) < 1e-30 for c, r in zip(coeffs, rounded)), (e, f)
+            assert period_polynomial_exact(ctx).poly == IntPoly(rounded[::-1]), (e, f)
+
+
+def test_exact_build_equals_prime_periods_near_p_100000():
+    # the counting takes O(e p) steps, so p near 10^5 is in reach
+    for e, p in ((2, 100003), (3, 100003), (4, 100049), (12, 100057)):
+        ctx = make_context(e, (p - 1) // e)
+        assert period_polynomial_exact(ctx).poly == PrimePeriods(p, ctx.g).polynomial(e).poly, (e, p)
 
 
 # -- period polynomials ---------------------------------------------------
@@ -204,6 +220,23 @@ def test_prime_periods_at_large_e_and_above_p300():
     periods = PrimePeriods(401, ctx.g)
     assert periods.polynomial(40).poly == period_polynomial_exact(ctx).poly
     assert len(periods._primes) == 5
+
+
+def test_norms_and_polynomial_do_not_depend_on_call_order():
+    # each e keeps its furthest Garner reconstruction: norms continues the
+    # one polynomial left, and polynomial reduces the one norms left; f = 1
+    # and 2 are the matched shapes, the rest unmatched
+    for p in (11, 31, 61, 101, 193):
+        g = primitive_root(p)
+        divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+        want = {e: (PrimePeriods(p, g).polynomial(e), PrimePeriods(p, g).norms(e)) for e in divisors}
+        shared = PrimePeriods(p, g)
+        for e in divisors:
+            poly_first, norms_first = PrimePeriods(p, g), PrimePeriods(p, g)
+            assert poly_first.polynomial(e) == want[e][0] and poly_first.norms(e) == want[e][1], (p, e)
+            assert norms_first.norms(e) == want[e][1] and norms_first.polynomial(e) == want[e][0], (p, e)
+            assert norms_first._etas[e][0] == len(norms_first._primes), (p, e)
+            assert (shared.polynomial(e), shared.norms(e), shared.polynomial(e)) == (*want[e], want[e][0])
 
 
 def test_prime_periods_crt_primes_step_by_p():
