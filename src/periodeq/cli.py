@@ -36,10 +36,9 @@ from .monogeneity import (
     field_discriminant,
 )
 from .number_theory import (
-    PRIME_TEST_BOUND,
     InternalContradiction,
-    factorize,
     is_prime,
+    is_primitive_root,
     make_context,
 )
 from .periods import period_polynomial_exact, period_polynomial_modular
@@ -101,11 +100,7 @@ def _record_rules(n: dict, coeffs: list[int], monogenic: bool):
     yield monogenic == (k == 1), "monogenic iff k = 1"
     yield 0 <= n_real <= e and (e - n_real) % 2 == 0, "0 <= n_real <= e with e - n_real even"
     yield len(coeffs) == e + 1 and coeffs[0] == 1, "coeffs of degree e with leading coefficient 1"
-    yield (
-        0 < g < p < PRIME_TEST_BOUND
-        and is_prime(p)
-        and all(pow(g, (p - 1) // q, p) != 1 for q in factorize(p - 1))
-    ), "g a primitive root mod the prime p"
+    yield is_primitive_root(g, p), "g a primitive root mod the prime p"
     yield n["delta_exponent"] == e - 1, "delta_exponent = e - 1"
     yield n["delta_sign"] == field_discriminant(e, f, p).sign, "delta_sign of the field discriminant"
 

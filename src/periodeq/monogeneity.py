@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import IntPoly, Signature, cyclotomic_prime
+from .intpoly import IntPoly, Signature
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
 from .periods import PrimePeriods
 
@@ -158,7 +158,7 @@ def _halved_cyclotomic(e: int) -> tuple[int, ...]:
 
 def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
     """The cyclotomic shape psi equals exactly, or NO_MATCH."""
-    if ctx.f == 1 and psi == cyclotomic_prime(ctx.p):
+    if ctx.f == 1 and psi.coeffs == (1,) * ctx.p:
         return MatchKind.DIRECT_CYCLOTOMIC
     if ctx.f == 2 and psi.coeffs == _halved_cyclotomic(ctx.e):
         return MatchKind.REDUCED_CYCLOTOMIC

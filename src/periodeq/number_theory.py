@@ -4,7 +4,7 @@ Everything here is deterministic.  Primality uses the fixed Miller-Rabin
 witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
 particular for the full 64-bit range); larger n are refused, not guessed.
 Factorization is wheel trial division up to TRIAL_LIMIT, then Pollard-Brent
-on what is left, and the primitive root returned is always the smallest one.
+on a cofactor below PRIME_TEST_BOUND, and primitive_root is the smallest one.
 The CRT primes of the modular period build are q ≡ 1 (mod modulus) just
 above CRT_PRIME_FLOOR = 2^29: below 2^30 each one is a single CPython digit,
 so arithmetic mod q stays in one-digit ints.
@@ -69,10 +69,9 @@ def is_prime(n: int) -> bool:
 
 # Gap cycle for trial divisors coprime to 30, starting at 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
-# Trial division stops past this divisor once the cofactor is below
-# PRIME_TEST_BOUND, so every n < TRIAL_LIMIT**2 is factored by trial alone.
+# Trial division stops past this divisor, so every n < TRIAL_LIMIT**2 is
+# factored by trial alone.
 TRIAL_LIMIT = 1 << 16
-_TRIAL_STOP = TRIAL_LIMIT * TRIAL_LIMIT
 # Pollard-Brent takes gcds over batches of this many steps.
 _BRENT_BATCH = 128
 
@@ -119,9 +118,9 @@ def _prime_factors(n: int) -> list[int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, in ascending order.
 
-    Wheel trial division finds the factors below TRIAL_LIMIT; a cofactor
-    below PRIME_TEST_BOUND that is left is split by Pollard-Brent and its
-    pieces proven prime by is_prime, a larger one is trial-divided to the end.
+    Wheel trial division finds the factors up to TRIAL_LIMIT; a cofactor left
+    below PRIME_TEST_BOUND is split by Pollard-Brent and its pieces proven
+    prime by is_prime, and one at or above the bound raises ValueError.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
@@ -134,27 +133,33 @@ def factorize(n: int) -> dict[int, int]:
                 k += 1
             out[q] = k
     d, i = 7, 0
-    # d runs while d * d <= stop: to the end for n at or above
-    # PRIME_TEST_BOUND, else only while d <= TRIAL_LIMIT; stop is updated
-    # only when n shrinks, so small n pay no extra test per divisor
-    stop = n if n < _TRIAL_STOP or n >= PRIME_TEST_BOUND else _TRIAL_STOP
-    while d * d <= stop:
+    while d <= TRIAL_LIMIT and d * d <= n:
         if n % d == 0:
             k = 0
             while n % d == 0:
                 n //= d
                 k += 1
             out[d] = k
-            stop = n if n < _TRIAL_STOP or n >= PRIME_TEST_BOUND else _TRIAL_STOP
         d += _WHEEL[i]
         i = (i + 1) & 7
     if d * d > n:
         if n > 1:
             out[n] = 1
     else:
+        # is_prime refuses a cofactor at or above PRIME_TEST_BOUND
         for q in sorted(_prime_factors(n)):
             out[q] = out.get(q, 0) + 1
     return out
+
+
+def _generates(g: int, p: int, primes) -> bool:
+    """Whether g has order p - 1 mod the prime p, for primes those dividing p - 1."""
+    return all(pow(g, (p - 1) // q, p) != 1 for q in primes)
+
+
+def is_primitive_root(g: int, p: int) -> bool:
+    """Whether p is an odd prime below PRIME_TEST_BOUND and 0 < g < p has order p - 1."""
+    return 3 <= p < PRIME_TEST_BOUND and 0 < g < p and is_prime(p) and _generates(g, p, factorize(p - 1))
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +169,9 @@ def primitive_root(p: int) -> int:
         raise CompositeP(f"{p} is not prime")
     if p < 3:
         raise InvalidContext("need p >= 3 for a primitive root")
-    tests = [(p - 1) // q for q in factorize(p - 1)]
+    primes = factorize(p - 1)
     for g in range(2, p):
-        if all(pow(g, t, p) != 1 for t in tests):
+        if _generates(g, p, primes):
             return g
     raise InternalContradiction(f"no primitive root found for {p}")
 

@@ -14,9 +14,9 @@ It reconstructs the e periods mod M from their sums mod each prime and
 multiplies out prod (x - eta_i) once, modulo M, by a product tree whose
 levels multiply packed ints (Kronecker substitution).  The same
 reconstruction, continued to M > 2 (2f)^e, gives psi_e's discriminant exactly
-from the Galois norms of the period differences (norms).  The tables also give
-the periods modulo the first CRT prime without any reconstruction
-(period_residues), which is all a monogenicity certificate needs.
+from the Galois norms of the period differences (norms).  Its first step alone
+gives the periods modulo the first CRT prime (period_residues), which is all
+a monogenicity certificate needs.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .number_theory import (
     InternalContradiction,
     InvalidContext,
     PrimeContext,
-    factorize,
-    is_prime,
+    is_primitive_root,
     primes_in_progression,
 )
 
@@ -41,11 +40,11 @@ class NonIntegerCoefficient(InternalContradiction):
     """Raised if a coefficient that must be a rational integer is not one."""
 
 
-def _power_table(p: int, g: int) -> list[int]:
-    """g^t mod p for t = 0 .. p-2."""
-    tab = [1] * (p - 1)
-    for t in range(1, p - 1):
-        tab[t] = tab[t - 1] * g % p
+def _power_table(base: int, mod: int, n: int) -> list[int]:
+    """base^t mod mod for t = 0 .. n-1."""
+    tab = [1] * n
+    for t in range(1, n):
+        tab[t] = tab[t - 1] * base % mod
     return tab
 
 
@@ -69,7 +68,7 @@ def _period_power_sums(ctx: PrimeContext) -> list[int]:
     is a row per r = g^j or 0 with at most f classes: O(p) per step.
     """
     p, e = ctx.p, ctx.e
-    tab = _power_table(p, ctx.g)
+    tab = _power_table(ctx.g, p, p - 1)
     cls = [e] * p  # cls[x] = ind_g(x) mod e for x != 0, and e for x = 0
     for t, x in enumerate(tab):
         cls[x] = t % e
@@ -168,21 +167,20 @@ class PrimePeriods:
     by the product tree of _product_mod; the symmetric lift of its
     coefficients is psi_e.  norms takes the periods mod M through the same
     Garner step (_periods_mod), with the bound (2f)^e of the norms, and
-    continues the reconstruction that polynomial(e) left.  The
-    first prime also serves period_residues, the periods mod q alone.
+    continues the reconstruction that polynomial(e) left.  period_residues is
+    that step at the first prime alone, so a certificate's residues are where
+    a later polynomial(e) or norms(e) starts.
     """
 
     def __init__(self, p: int, g: int):
-        if not 3 <= p < PRIME_TEST_BOUND or not is_prime(p):
-            raise InvalidContext(f"p = {p} is not an odd prime below {PRIME_TEST_BOUND}")
-        # g must have order p - 1, else the classes ys[i::e] are not the periods
-        if not 0 < g < p or any(pow(g, (p - 1) // r, p) == 1 for r in factorize(p - 1)):
-            raise InvalidContext(f"g = {g} is not a primitive root mod {p}")
+        # p an odd prime and g of order p - 1, else the classes ys[i::e] are not the periods
+        if not is_primitive_root(g, p):
+            raise InvalidContext(f"g = {g} is not a primitive root mod an odd prime p = {p} < {PRIME_TEST_BOUND}")
         self.p = p
         self.g = g
         # for odd p, the odd q ≡ 1 (mod p) are exactly the q ≡ 1 (mod 2p)
         self._candidates = primes_in_progression(2 * p)
-        self._tab = _power_table(p, g)
+        self._tab = _power_table(g, p, p - 1)
         self._primes: list[int] = []
         self._ys: list[list[int]] = []
         # CRT data: _moduli[k] is the product of the first k primes, and
@@ -203,9 +201,7 @@ class PrimePeriods:
             if w != 1:
                 break
             z += 1
-        wpow = [1] * p
-        for t in range(1, p):
-            wpow[t] = wpow[t - 1] * w % q
+        wpow = _power_table(w, q, p)
         modulus = self._moduli[-1]
         self._primes.append(q)
         self._ys.append([wpow[a] for a in self._tab])
@@ -228,23 +224,24 @@ class PrimePeriods:
 
         The images come from the ring map Z[zeta] -> GF(q) that sends zeta to
         w, so any integer polynomial in the periods (psi_e's coefficients,
-        its discriminant) reduces mod q to the same polynomial in them.
+        its discriminant) reduces mod q to the same polynomial in them.  They
+        are _periods_mod's first Garner step, which polynomial(e) continues.
         """
         self._check_divisor(e)
-        q, ys = self.residue_prime, self._ys[0]
-        return [sum(ys[i::e]) % q for i in range(e)]
+        return self._periods_mod(e, 0)[0]
 
     def _periods_mod(self, e: int, bound: int) -> tuple[list[int], int]:
         """([eta_0, ..., eta_(e-1)] mod M, M) for a divisor e of p - 1, where M
-        is the product of the fewest shared primes with M > 2 * bound, so an
-        integer of absolute value at most bound lifts exactly from mod M.
+        is the product of the fewest shared primes, at least one, with
+        M > 2 * bound, so an integer of absolute value at most bound lifts
+        exactly from mod M.
 
         Garner's step gives eta_i mod _moduli[k] in [0, _moduli[k]) after its
         k-th prime, so the furthest reconstruction of each e is kept: a
         larger bound continues it, and a smaller one reduces it mod M.
         """
         n = 0
-        while self._moduli[n] <= 2 * bound:
+        while n == 0 or self._moduli[n] <= 2 * bound:
             n += 1
             if n > len(self._primes):
                 self._add_prime()

@@ -318,6 +318,29 @@ def test_closed_form_match_decides_as_unfolding_does():
         assert _match_kind(ctx, psi) is MatchKind.REDUCED_CYCLOTOMIC
 
 
+def test_direct_match_compares_coefficients_without_building_phi_p(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+
+    # every f = 1 context with p <= 300, and the same psi with one
+    # coefficient moved by +-1; Phi_p is built here, never by _match_kind
+    contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f == 1]
+    phi = {ctx.p: cyclotomic_prime(ctx.p) for ctx in contexts}
+
+    def no_phi(p):
+        raise AssertionError("_match_kind built Phi_p")
+
+    monkeypatch.setattr(mono_mod, "cyclotomic_prime", no_phi, raising=False)
+    rng = random.Random(3)
+    for ctx in contexts:
+        psi = period_polynomial_modular(ctx).poly
+        j = rng.randrange(ctx.p)
+        moved = [IntPoly(psi.coeffs[:j] + (psi.coeffs[j] + s,) + psi.coeffs[j + 1:]) for s in (1, -1)]
+        for c in (psi, *moved):
+            want = MatchKind.DIRECT_CYCLOTOMIC if c == phi[ctx.p] else MatchKind.NO_MATCH
+            assert _match_kind(ctx, c) is want, (ctx.p, j, c)
+        assert _match_kind(ctx, psi) is MatchKind.DIRECT_CYCLOTOMIC
+
+
 def test_classify_does_not_unfold(monkeypatch):
     import periodeq.intpoly as intpoly_mod
     import periodeq.monogeneity as mono_mod
@@ -351,6 +374,52 @@ def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
         assert cert in (None, q)
         certified += cert is not None
     assert len(contexts) == 514 and certified > 0
+
+
+def test_classify_continues_the_certificate_residues():
+    # the certificate's residues are the first Garner step of each e, so
+    # classify goes on from the second prime and never reads the first
+    # prime's table again; f = 1 and 2 are the matched shapes, the rest not
+    for p in (101, 193):
+        divisors = [e for e in range(1, p) if (p - 1) % e == 0]
+        shared = PrimePeriods(p, primitive_root(p))
+        for e in divisors:
+            index_certificate(shared, e)
+            assert shared._etas[e][0] == 1, (p, e)
+        shared._ys[0] = None  # a sum over the first table would raise TypeError
+        kinds = set()
+        for e in divisors:
+            ctx = make_context(e, (p - 1) // e)
+            rec = classify(ctx, shared)
+            assert rec == classify(ctx), (p, e)
+            kinds.add(rec.match_kind)
+        assert kinds == set(MatchKind)
+        assert max(n for n, _ in shared._etas.values()) > 1
+
+
+def test_each_norm_is_a_multiple_of_p_and_k_is_1_iff_each_is_p():
+    # every eta_i ≡ f mod (1 - zeta), so p | N_d = prod_i (eta_i - eta_(i+d)),
+    # and |D| = prod over d of |N_d| = k^2 p^(e-1) with e - 1 factors
+    shared: dict[int, PrimePeriods] = {}
+    pairs = 0
+    for ctx in contexts_with_p_up_to(300):
+        if ctx.e < 2:
+            continue
+        if ctx.p not in shared:
+            shared[ctx.p] = PrimePeriods(ctx.p, ctx.g)
+        periods = shared[ctx.p]
+        etas, mod = periods._periods_mod(ctx.e, (2 * ctx.f) ** ctx.e)
+        norms = []
+        for d in range(1, ctx.e // 2 + 1):
+            norm = 1
+            for a, b in zip(etas, etas[d:] + etas[:d]):
+                norm = norm * (a - b) % mod
+            norms.append(norm - mod if norm > mod // 2 else norm)
+        assert all(norm % ctx.p == 0 for norm in norms), (ctx.e, ctx.f)
+        rec = classify(ctx, periods)
+        assert (rec.k == 1) == all(abs(norm) == ctx.p for norm in norms), (ctx.e, ctx.f)
+        pairs += 1
+    assert pairs == 514 - len(shared)
 
 
 def _records_and_certificates():

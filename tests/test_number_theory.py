@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from periodeq.number_theory import (
     InvalidContext,
     factorize,
     is_prime,
+    is_primitive_root,
     make_context,
     primes_in_progression,
     primitive_root,
@@ -86,6 +89,22 @@ def test_factorize_uses_trial_division_alone_below_the_trial_limit_squared(monke
     monkeypatch.setattr(number_theory, "_pollard_brent", refuse)
     for n in (65521 * 65519, TRIAL_LIMIT**2 - 1, 4294967291, 10**9 + 7):
         assert factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_refuses_a_cofactor_beyond_the_prime_test_bound_quickly():
+    # both factors of PRIME_TEST_BOUND are above TRIAL_LIMIT, so trial
+    # division leaves the whole bound as the cofactor, which is refused
+    low, high = 1287836182261, 2575672364521
+    assert low * high == PRIME_TEST_BOUND and TRIAL_LIMIT < low < high
+    assert sympy.isprime(low) and sympy.isprime(high)
+    start = time.perf_counter()
+    for n in (PRIME_TEST_BOUND, 7 * PRIME_TEST_BOUND):
+        with pytest.raises(ValueError):
+            factorize(n)
+    assert time.perf_counter() - start < 1.0
+    # a large n whose cofactor trial division finishes is still factored
+    assert factorize(2**100) == {2: 100}
+    assert factorize(3**60 * 65521) == {3: 60, 65521: 1}
 
 
 @given(
@@ -172,3 +191,14 @@ def test_primes_in_progression():
 def test_primes_in_progression_small_start():
     gen = primes_in_progression(5, start=10)
     assert [next(gen) for _ in range(3)] == [11, 31, 41]
+
+
+def test_is_primitive_root_is_the_order_definition():
+    for p in filter(is_prime, range(3, 200)):
+        for g in range(-2, p + 3):
+            assert is_primitive_root(g, p) == (0 < g < p and _order(g, p) == p - 1), (g, p)
+    # p must be an odd prime below PRIME_TEST_BOUND
+    for n in (-7, 0, 1, 2, 4, 9, 15, 561, 1105, PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
+        assert not any(is_primitive_root(g, n) for g in (-1, 0, 1, 2, 3, 5, n - 1, n, n + 1))
+    # a safe prime: p - 1 = 2 * 50000000002541
+    assert is_primitive_root(2, 100000000005083) and not is_primitive_root(4, 100000000005083)
