@@ -98,7 +98,7 @@ def _record_rules(n: dict, coeffs: list[int], monogenic: bool):
     yield k >= 1, "k >= 1"
     yield k * k == n["k_squared"], "k^2 = k_squared"
     yield monogenic == (k == 1), "monogenic iff k = 1"
-    yield 0 <= n_real <= e and (e - n_real) % 2 == 0, "0 <= n_real <= e with e - n_real even"
+    yield n_real == (e if f % 2 == 0 else 0), "n_real = e if f is even, else 0"
     yield len(coeffs) == e + 1 and coeffs[0] == 1, "coeffs of degree e with leading coefficient 1"
     yield is_primitive_root(g, p), "g a primitive root mod the prime p"
     yield n["delta_exponent"] == e - 1, "delta_exponent = e - 1"

@@ -152,28 +152,26 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _generates(g: int, p: int, primes) -> bool:
-    """Whether g has order p - 1 mod the prime p, for primes those dividing p - 1."""
-    return all(pow(g, (p - 1) // q, p) != 1 for q in primes)
+@lru_cache(maxsize=None)
+def _order_primes(p: int) -> tuple[int, ...] | None:
+    """The primes dividing p - 1 if p is an odd prime below PRIME_TEST_BOUND,
+    else None: the one proof of p that every primitive-root test reads."""
+    return tuple(factorize(p - 1)) if 3 <= p < PRIME_TEST_BOUND and is_prime(p) else None
 
 
 def is_primitive_root(g: int, p: int) -> bool:
     """Whether p is an odd prime below PRIME_TEST_BOUND and 0 < g < p has order p - 1."""
-    return 3 <= p < PRIME_TEST_BOUND and 0 < g < p and is_prime(p) and _generates(g, p, factorize(p - 1))
+    primes = _order_primes(p) if 0 < g < p else None
+    return primes is not None and all(pow(g, (p - 1) // q, p) != 1 for q in primes)
 
 
-@lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo the prime p >= 3."""
-    if not is_prime(p):
+    if _order_primes(p) is None:
+        if is_prime(p):  # raises ValueError at or above PRIME_TEST_BOUND
+            raise InvalidContext("need p >= 3 for a primitive root")
         raise CompositeP(f"{p} is not prime")
-    if p < 3:
-        raise InvalidContext("need p >= 3 for a primitive root")
-    primes = factorize(p - 1)
-    for g in range(2, p):
-        if _generates(g, p, primes):
-            return g
-    raise InternalContradiction(f"no primitive root found for {p}")
+    return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
 @dataclass(frozen=True)
@@ -201,8 +199,6 @@ def make_context(e: int, f: int) -> PrimeContext:
         raise InvalidContext(f"p = {p} is too small")
     if p >= PRIME_TEST_BOUND:
         raise InvalidContext(f"p = {p} is beyond the proven primality range (< {PRIME_TEST_BOUND})")
-    if not is_prime(p):
-        raise CompositeP(f"{p} is not prime")
     return PrimeContext(p=p, e=e, f=f, g=primitive_root(p))
 
 

@@ -160,16 +160,17 @@ class PrimePeriods:
     62-bit primes.  How many primes n psi_e uses is fixed in advance by its
     coefficient bound (M = the product of the n moduli must exceed twice the
     bound), so the reconstruction is deterministic, with no early termination
-    to get lucky on; primes are added lazily as larger e ask.  Sending zeta to
-    the w's, combined by CRT, is a ring map Z[zeta] -> Z/M, so the periods
-    are first combined into eta_i mod M (Garner's step on e sums) and the
-    product of the e linear factors is taken once, modulo M, whatever n is,
-    by the product tree of _product_mod; the symmetric lift of its
-    coefficients is psi_e.  norms takes the periods mod M through the same
-    Garner step (_periods_mod), with the bound (2f)^e of the norms, and
-    continues the reconstruction that polynomial(e) left.  period_residues is
-    that step at the first prime alone, so a certificate's residues are where
-    a later polynomial(e) or norms(e) starts.
+    to get lucky on; the builder adds the first prime, the residue prime,
+    and larger e add the others.  Sending zeta to the w's, combined by CRT,
+    is a ring map Z[zeta] -> Z/M, so the periods are first combined into
+    eta_i mod M (Garner's step on e sums) and the product of the e linear
+    factors is taken once, modulo M, whatever n is, by the product tree of
+    _product_mod; the symmetric lift of its coefficients is psi_e.  norms
+    takes the periods mod M through the same Garner step (_periods_mod), with
+    the bound (2f)^e of the norms, and continues the reconstruction that
+    polynomial(e) left.  period_residues is that step at the first prime
+    alone, so a certificate's residues are where a later polynomial(e) or
+    norms(e) starts.
     """
 
     def __init__(self, p: int, g: int):
@@ -189,6 +190,7 @@ class PrimePeriods:
         self._inverses: list[int] = []
         # per e, the furthest reconstruction (n, [eta_i mod _moduli[n]])
         self._etas: dict[int, tuple[int, list[int]]] = {}
+        self._add_prime()
 
     def _add_prime(self) -> None:
         p = self.p
@@ -215,8 +217,6 @@ class PrimePeriods:
     @property
     def residue_prime(self) -> int:
         """The first CRT prime q, the modulus of period_residues."""
-        if not self._primes:
-            self._add_prime()
         return self._primes[0]
 
     def period_residues(self, e: int) -> list[int]:
@@ -240,8 +240,8 @@ class PrimePeriods:
         k-th prime, so the furthest reconstruction of each e is kept: a
         larger bound continues it, and a smaller one reduces it mod M.
         """
-        n = 0
-        while n == 0 or self._moduli[n] <= 2 * bound:
+        n = 1
+        while self._moduli[n] <= 2 * bound:
             n += 1
             if n > len(self._primes):
                 self._add_prime()

@@ -32,7 +32,7 @@ from .number_theory import (
     InvalidContext,
     PrimeContext,
     is_prime,
-    make_context,
+    primitive_root,
 )
 from .periods import PrimePeriods
 
@@ -108,10 +108,10 @@ def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
     out = []
     for e, f in tasks:
         try:
-            ctx = make_context(e, f)
             if periods is None:
-                periods = PrimePeriods(ctx.p, ctx.g)
-            out.append(step(ctx, periods))
+                p = e * f + 1
+                periods = PrimePeriods(p, primitive_root(p))
+            out.append(step(PrimeContext(p, e, f, periods.g), periods))
         except InternalContradiction as exc:
             raise ScanFailure(e, f, str(exc)) from exc
     return out

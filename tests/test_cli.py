@@ -185,12 +185,12 @@ BIG = 2**200
 def draw_record(draw, e, f):
     """A record of (e, f) that keeps every wire rule: a primitive root g, the
     field discriminant's sign and exponent, a monic psi of degree e, k >= 1
-    with monogenic iff k = 1, and an e - n_real that is even and not negative."""
+    with monogenic iff k = 1, and Gauss's n_real: e for even f, 0 for odd f."""
     p = e * f + 1
     t = draw(st.integers(1, p - 1))
     while math.gcd(t, p - 1) != 1:
         t += 1
-    n_real = e - 2 * draw(st.integers(0, e // 2))
+    n_real = e if f % 2 == 0 else 0
     k = draw(st.one_of(st.just(1), st.integers(1, BIG)))
     coeffs = [1] + draw(st.lists(st.integers(-BIG, BIG), min_size=e, max_size=e))
     delta = field_discriminant(e, f, p)
@@ -325,9 +325,9 @@ def test_unknown_match_kind_is_rejected(value):
         ({"k_squared": "2"}, "k\\^2 = k_squared"),
         ({"monogenic": False}, "monogenic iff k = 1"),
         ({"k": "2", "k_squared": "4"}, "monogenic iff k = 1"),
-        ({"n_real": 6}, "0 <= n_real <= e"),
-        ({"n_real": -2}, "0 <= n_real <= e"),
-        ({"n_real": 1}, "0 <= n_real <= e with e - n_real even"),
+        ({"n_real": 6}, "n_real = e if f is even, else 0"),
+        ({"n_real": -2}, "n_real = e if f is even, else 0"),
+        ({"n_real": 1}, "n_real = e if f is even, else 0"),
         ({"delta_exponent": 4}, "delta_exponent = e - 1"),
         ({"delta_sign": -1}, "delta_sign of the field discriminant"),
         ({"coeffs": ["1", "1", "1", "1"]}, "coeffs of degree e"),
@@ -335,6 +335,9 @@ def test_unknown_match_kind_is_rejected(value):
         ({"coeffs": ["0", "1", "1", "1", "1", "1"]}, "coeffs of degree e"),
         ({"g": 4}, "g a primitive root mod the prime p"),
         ({"g": 7}, "g a primitive root mod the prime p"),
+        # (4, 1) is totally complex: an n_real of the right parity is still wrong
+        ({"n_real": 2}, "n_real = e if f is even, else 0"),
+        ({"n_real": 4}, "n_real = e if f is even, else 0"),
     ],
 )
 def test_self_contradictory_record_is_rejected(changes, rule):
@@ -350,9 +353,11 @@ def test_report_with_self_contradictory_record_is_rejected():
     rec.update(monogenic=True, n_real=7)
     with pytest.raises(ValueError, match="breaks monogenic iff k = 1"):
         report_from_json(json.dumps(obj))
-    rec.update(monogenic=False)
-    with pytest.raises(ValueError, match="breaks 0 <= n_real <= e"):
-        report_from_json(json.dumps(obj))
+    # (4, 4) is totally real (n_real 4): 2 and 0 keep the parity of e yet break Gauss's rule
+    for n_real in (7, 2, 0):
+        rec.update(monogenic=False, n_real=n_real)
+        with pytest.raises(ValueError, match="\\(e=4, f=4\\) breaks n_real = e if f is even, else 0"):
+            report_from_json(json.dumps(obj))
 
 
 def test_report_whose_records_are_not_the_spec_pairs_is_rejected():

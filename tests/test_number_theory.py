@@ -153,8 +153,13 @@ def test_primitive_root_is_smallest():
 
 
 def test_primitive_root_rejects_composites():
-    with pytest.raises(CompositeP):
-        primitive_root(15)
+    for n in (15, 9, 1, 0):
+        with pytest.raises(CompositeP, match=f"{n} is not prime"):
+            primitive_root(n)
+    with pytest.raises(InvalidContext):
+        primitive_root(2)
+    with pytest.raises(ValueError, match="beyond the proven range"):
+        primitive_root(PRIME_TEST_BOUND)
 
 
 def test_make_context_examples():

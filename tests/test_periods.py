@@ -247,8 +247,8 @@ def test_prime_periods_crt_primes_step_by_p():
             if is_prime(q):
                 want.append(q)
             q += p
-        periods = PrimePeriods(p, primitive_root(p))
-        for _ in range(3):
+        periods = PrimePeriods(p, primitive_root(p))  # adds the first prime
+        for _ in range(2):
             periods._add_prime()
         assert periods._primes == want, p
 

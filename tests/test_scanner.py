@@ -115,6 +115,23 @@ def test_census_over_the_extended_interval_p2000():
     assert missing_e_census(250, 2000) == want
 
 
+def test_surveys_factor_each_p_minus_1_once(monkeypatch):
+    # a pair's context, its PrimePeriods and primitive_root read one cached proof of p
+    import periodeq.number_theory as nt
+
+    calls = []
+    factorize = nt.factorize
+    monkeypatch.setattr(nt, "factorize", lambda n: calls.append(n) or factorize(n))
+    for survey, spec in (
+        (lambda: cubic_growth(2000), ScanSpec(3, 3, 2000)),
+        (lambda: missing_e_census(60, 400), ScanSpec(4, 60, 400)),
+    ):
+        nt._order_primes.cache_clear()
+        calls.clear()
+        survey()
+        assert sorted(calls) == sorted({e * f for e, f in scan_tasks(spec)})
+
+
 def test_serial_import_leaves_multiprocessing_out():
     src = str(Path(periodeq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
