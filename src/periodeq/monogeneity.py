@@ -24,12 +24,13 @@ those periods.  The signature of every psi is Gauss's rule: -1 lies in the
 subgroup of order f exactly when f is even, so the period field is totally
 real for even f and totally complex for odd f.
 
-k == 1 forces D == delta, so one prime q with D mod q != delta mod q
-proves k != 1 (index_certificate).  D mod q is the product of the squared
-period differences modulo the first CRT prime of PrimePeriods, O(e^2)
-products and no remainder sequence; the surveys that only count monogenic
-pairs run the exact pipeline (classify) only where no such prime is found.
-Every k == 1 is still decided by classify.
+Each N_d is p times an integer m_d >= 1, and k^2 = prod m_d, so one prime
+q with some N_d mod q outside {p, -p}, or with D mod q != delta mod q,
+proves k != 1 (index_certificate): the norms modulo the first CRT prime of
+PrimePeriods, e products each up to the first N_d that fails, and no
+remainder sequence.  The surveys that only count monogenic pairs run the
+exact pipeline (classify) only where no such prime is found.  Every
+k == 1 is still decided by classify.
 """
 
 from __future__ import annotations
@@ -102,33 +103,46 @@ def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
     return k2, k
 
 
-def discriminant_residue(periods: PrimePeriods, e: int) -> int:
-    """D mod q for psi_e of periods.p, q = periods.residue_prime: the product
-    of (eta_i - eta_j)^2 over i < j, taken on the period residues mod q."""
+def _residue_product(periods: PrimePeriods, e: int, allowed: tuple[int, ...] = ()) -> int | None:
+    """D mod q, q = periods.residue_prime, folded as PrimePeriods.norms folds
+    the norms N_d = prod_i (eta_i - eta_(i+d mod e)), d = 1 .. floor(e/2),
+    from the period residues mod q; None at the first N_d mod q outside a
+    nonempty allowed."""
     q = periods.residue_prime
     etas = periods.period_residues(e)
-    d = 1
-    for i, a in enumerate(etas):
-        for b in etas[i + 1:]:
-            d = d * (a - b) % q
-    return d * d % q
+    disc = (-1) ** (e * (e - 1) // 2) % q
+    for d in range(1, e // 2 + 1):
+        norm = 1
+        for a, b in zip(etas, etas[d:] + etas[:d]):
+            norm = norm * (a - b) % q
+        if allowed and norm not in allowed:
+            return None
+        disc = disc * (norm if 2 * d == e else (-1) ** e * norm * norm) % q
+    return disc
+
+
+def discriminant_residue(periods: PrimePeriods, e: int) -> int:
+    """D mod q for psi_e of periods.p, q = periods.residue_prime, from the
+    Galois norms of the period differences on the period residues mod q."""
+    return _residue_product(periods, e)
 
 
 def index_certificate(periods: PrimePeriods, e: int) -> int | None:
     """The prime q that proves k != 1 for psi_e of periods.p, or None.
 
-    k == 1 means D == delta, so D mod q != delta mod q is a proof that
-    k != 1; None says nothing either way, and only classify decides such a
-    pair.  D * delta^-1 is k^2 mod q, so a nonzero non-residue there breaks
-    D = k^2 * delta and raises InternalContradiction.
+    Each N_d is p * m_d with an integer m_d >= 1, and k^2 = prod m_d, so the
+    first N_d mod q outside {p, -p} proves k != 1.  If there is none, k == 1
+    still means D == delta, so D mod q != delta mod q is a proof too; None
+    says nothing either way, and only classify decides such a pair.  delta
+    is a square mod every q that splits completely (Stickelberger), so a
+    non-residue delta raises InternalContradiction.
     """
     q, p = periods.residue_prime, periods.p
-    d = discriminant_residue(periods, e)
     delta = _delta_sign(e, (p - 1) // e) * pow(p, e - 1, q) % q
-    k2 = d * pow(delta, -1, q) % q
-    if k2 and pow(k2, (q - 1) // 2, q) != 1:
-        raise InternalContradiction(f"D / delta mod {q} is not a square")
-    return q if d != delta else None
+    if pow(delta, (q - 1) // 2, q) != 1:
+        raise InternalContradiction(f"delta mod {q} is not a square")
+    # an early exit, None, is a certificate as well
+    return None if _residue_product(periods, e, (p, q - p)) == delta else q
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .intpoly import IntPoly
 from .number_theory import (
@@ -41,10 +42,14 @@ class NonIntegerCoefficient(InternalContradiction):
 
 
 def _power_table(base: int, mod: int, n: int) -> list[int]:
-    """base^t mod mod for t = 0 .. n-1."""
-    tab = [1] * n
-    for t in range(1, n):
+    """base^t mod mod for t = 0 .. n-1: the product chain up to t = 255,
+    then one comprehension per doubling, the table so far times base^len."""
+    tab = [1] * min(n, 256)
+    for t in range(1, len(tab)):
         tab[t] = tab[t - 1] * base % mod
+    while len(tab) < n:
+        step = pow(base, len(tab), mod)
+        tab += [x * step % mod for x in tab[:n - len(tab)]]
     return tab
 
 
@@ -152,16 +157,18 @@ class PrimePeriods:
 
     The CRT primes q ≡ 1 (mod 2p) just above 2**29 are searched once per p,
     and for each q one table ys[t] = w^(g^t mod p) mod q is kept, w of order
-    p in GF(q)*.  The e-periods mod q are then the sums ys[i::e], for every
-    divisor e of p - 1.  Below 2**30 each q is one CPython digit, so every
-    table entry and period sum is a one-digit int and % q takes the
-    interpreter's single-digit path; a prime then carries only about 29 bits
-    of the CRT modulus, so a large e needs about twice as many tables as with
-    62-bit primes.  How many primes n psi_e uses is fixed in advance by its
-    coefficient bound (M = the product of the n moduli must exceed twice the
-    bound), so the reconstruction is deterministic, with no early termination
-    to get lucky on; the builder adds the first prime, the residue prime,
-    and larger e add the others.  Sending zeta to the w's, combined by CRT,
+    p in GF(q)*, gathered by itemgetter from the powers of w (_power_table
+    builds those and the powers of g by seeded doubling).  The e-periods
+    mod q are then the sums ys[i::e], for every divisor e of p - 1.  Below
+    2**30 each q is one CPython digit, so every table entry and period sum
+    is a one-digit int and % q takes the interpreter's single-digit path; a
+    prime then carries only about 29 bits of the CRT modulus, so a large e
+    needs about twice as many tables as with 62-bit primes.  How many primes
+    n psi_e uses is fixed in advance by its coefficient bound (M = the
+    product of the n moduli must exceed twice the bound), so the
+    reconstruction is deterministic, with no early termination to get lucky
+    on; the builder adds the first prime, the residue prime, and larger e
+    add the others.  Sending zeta to the w's, combined by CRT,
     is a ring map Z[zeta] -> Z/M, so the periods are first combined into
     eta_i mod M (Garner's step on e sums) and the product of the e linear
     factors is taken once, modulo M, whatever n is, by the product tree of
@@ -183,7 +190,7 @@ class PrimePeriods:
         self._candidates = primes_in_progression(2 * p)
         self._tab = _power_table(g, p, p - 1)
         self._primes: list[int] = []
-        self._ys: list[list[int]] = []
+        self._ys: list[tuple[int, ...]] = []
         # CRT data: _moduli[k] is the product of the first k primes, and
         # _inverses[k] the inverse of _moduli[k] modulo the k-th prime
         self._moduli = [1]
@@ -206,7 +213,7 @@ class PrimePeriods:
         wpow = _power_table(w, q, p)
         modulus = self._moduli[-1]
         self._primes.append(q)
-        self._ys.append([wpow[a] for a in self._tab])
+        self._ys.append(itemgetter(*self._tab)(wpow))
         self._inverses.append(pow(modulus % q, -1, q))
         self._moduli.append(modulus * q)
 

@@ -464,12 +464,18 @@ def test_index_certificate_checks_that_d_over_delta_is_a_square(monkeypatch):
 
     periods = PrimePeriods(17, 3)
     q = periods.residue_prime
-    delta = pow(17, 3, q)  # (e, f) = (4, 4): delta = +17^3, k = 2
-    assert index_certificate(periods, 4) == q
+    assert index_certificate(periods, 4) == q  # (e, f) = (4, 4): k = 2
+    # (2, 8): delta = +17 and k = 1, so eta_0 - eta_1 = r with r^2 = 17 mod q;
+    # at e = 2 the one norm is N_1 = -(eta_0 - eta_1)^2 and D = -N_1
+    a, b = periods.period_residues(2)
+    r = (a - b) % q
+    assert r * r % q == 17 and index_certificate(periods, 2) is None
     non_residue = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
-    for ratio, want in ((4, q), (1, None)):
-        monkeypatch.setattr(mono_mod, "discriminant_residue", lambda per, e: ratio * delta % q)
-        assert index_certificate(periods, 4) == want
-    monkeypatch.setattr(mono_mod, "discriminant_residue", lambda per, e: non_residue * delta % q)
+    # N_1 = -4 * 17 lies outside {17, -17}: D = 4 delta, the loop exits with q;
+    # N_1 = -17: D = delta, and nothing is proven
+    for etas, want in (([0, 2 * r % q], q), ([5, (5 + r) % q], None)):
+        monkeypatch.setattr(periods, "period_residues", lambda e, etas=etas: etas)
+        assert index_certificate(periods, 2) == want
+    monkeypatch.setattr(mono_mod, "_delta_sign", lambda e, f: non_residue)
     with pytest.raises(InternalContradiction, match="not a square"):
-        index_certificate(periods, 4)
+        index_certificate(periods, 2)

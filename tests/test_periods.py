@@ -22,6 +22,7 @@ from periodeq.periods import (
     NonIntegerCoefficient,
     PrimePeriods,
     _period_power_sums,
+    _power_table,
     _product_mod,
     coefficient_bound,
     period_polynomial_exact,
@@ -285,6 +286,42 @@ def test_period_residues_are_the_roots_of_psi_mod_q():
     for e in (5, 0, -1, 24):
         with pytest.raises(InvalidContext):
             PrimePeriods(13, 2).period_residues(e)
+
+
+# -- power tables --------------------------------------------------------------
+
+
+def test_power_table_equals_the_product_chain():
+    # the chain seeds 256 entries and each doubling then extends them, so
+    # n runs across the seed's edge and the doublings' edges
+    for mod in (1000003, (1 << 29) + 11):
+        for base in (0, 1, mod - 1, 123457):
+            want = [1]
+            for _ in range(7000):
+                want.append(want[-1] * base % mod)
+            for n in (0, 1, 2, 255, 256, 257, 512, 513, 1000, 7001):
+                assert _power_table(base, mod, n) == want[:n], (mod, base, n)
+
+
+def test_prime_periods_at_the_smallest_gathers():
+    # at p = 3 the table ys gathers two entries, at p = 5 four
+    for p in (3, 5):
+        periods = PrimePeriods(p, primitive_root(p))
+        for e in (d for d in range(1, p) if (p - 1) % d == 0):
+            ctx = make_context(e, (p - 1) // e)
+            assert periods.polynomial(e) == period_polynomial_exact(ctx), (p, e)
+        assert all(len(ys) == p - 1 for ys in periods._ys)
+
+
+def test_ys_are_the_powers_of_w_at_the_powers_of_g():
+    p = 1009
+    g = primitive_root(p)
+    periods = PrimePeriods(p, g)
+    periods._add_prime()
+    for q, ys in zip(periods._primes, periods._ys):
+        w = ys[0]  # w^(g^0)
+        assert w != 1 and pow(w, p, q) == 1
+        assert list(ys) == [pow(w, pow(g, t, p), q) for t in range(p - 1)], q
 
 
 # -- product tree ------------------------------------------------------------
