@@ -104,10 +104,9 @@ def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
 
 
 def _residue_product(periods: PrimePeriods, e: int, allowed: tuple[int, ...] = ()) -> int | None:
-    """D mod q, q = periods.residue_prime, folded as PrimePeriods.norms folds
-    the norms N_d = prod_i (eta_i - eta_(i+d mod e)), d = 1 .. floor(e/2),
-    from the period residues mod q; None at the first N_d mod q outside a
-    nonempty allowed."""
+    """D mod q, q = periods.residue_prime, folded from the norms N_d mod q,
+    d = 1 .. floor(e/2), as PrimePeriods.norms folds the lifted ones; None
+    at the first N_d mod q outside a nonempty allowed."""
     q = periods.residue_prime
     etas = periods.period_residues(e)
     disc = (-1) ** (e * (e - 1) // 2) % q
@@ -131,11 +130,10 @@ def index_certificate(periods: PrimePeriods, e: int) -> int | None:
     """The prime q that proves k != 1 for psi_e of periods.p, or None.
 
     Each N_d is p * m_d with an integer m_d >= 1, and k^2 = prod m_d, so the
-    first N_d mod q outside {p, -p} proves k != 1.  If there is none, k == 1
-    still means D == delta, so D mod q != delta mod q is a proof too; None
-    says nothing either way, and only classify decides such a pair.  delta
-    is a square mod every q that splits completely (Stickelberger), so a
-    non-residue delta raises InternalContradiction.
+    first N_d mod q outside {p, -p} proves k != 1; past the last, so does
+    D mod q != delta mod q.  None says nothing either way, and only classify
+    decides such a pair.  delta is a square mod every q that splits
+    completely (Stickelberger), so a non-residue raises InternalContradiction.
     """
     q, p = periods.residue_prime, periods.p
     delta = _delta_sign(e, (p - 1) // e) * pow(p, e - 1, q) % q
