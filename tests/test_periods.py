@@ -288,7 +288,7 @@ def test_period_residues_are_the_roots_of_psi_mod_q():
             PrimePeriods(13, 2).period_residues(e)
 
 
-# -- power tables --------------------------------------------------------------
+# -- power tables ------------------------------------------------------------
 
 
 def test_power_table_equals_the_product_chain():
