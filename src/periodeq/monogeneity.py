@@ -16,21 +16,18 @@ since x^e R(x + 1/x) = Phi_p determines R, it decides the same as unfolding
 psi and comparing with Phi_p.  A match fixes D in closed form, with no
 remainder sequence: disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e
 roots 2cos(2 pi j/p) are all real, has disc(R) = p^(e-1).  Every other psi
-takes D from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
-period differences, rational integers of at most (2f)^e that
-PrimePeriods.norms lifts from the periods mod M > 2 (2f)^e, with no
-remainder sequence; psi(1) == prod (1 - eta_i) ties psi's coefficients to
-those periods.  The signature of every psi is Gauss's rule: -1 lies in the
-subgroup of order f exactly when f is even, so the period field is totally
-real for even f and totally complex for odd f.
+takes k from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
+period differences (PrimePeriods.norms, exact): N_d = p m_d with integers
+m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a product of
+the m_d and D is never multiplied out; psi(1) == prod (1 - eta_i) ties psi
+to those periods.  The signature of every psi is Gauss's rule: -1 lies in
+the subgroup of order f exactly when f is even, so the period field is
+totally real for even f and totally complex for odd f.
 
-Each N_d is p times an integer m_d >= 1, and k^2 = prod m_d, so one prime
-q with some N_d mod q outside {p, -p}, or with D mod q != delta mod q,
-proves k != 1 (index_certificate): the norms modulo the first CRT prime of
-PrimePeriods, e products each up to the first N_d that fails, and no
-remainder sequence.  The surveys that only count monogenic pairs run the
-exact pipeline (classify) only where no such prime is found.  Every
-k == 1 is still decided by classify.
+k == 1 exactly when every |N_d| == p, so the first N_d mod q outside
+{p, -p}, or a sign of D mod q other than delta's, proves k != 1 for the
+first CRT prime q of PrimePeriods (index_certificate); the surveys that
+count monogenic pairs run classify only where no such proof is found.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from enum import Enum
 
 from .intpoly import IntPoly, Signature
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
-from .periods import PrimePeriods
+from .periods import PrimePeriods, galois_norms
 
 
 class NotDivisible(InternalContradiction):
@@ -103,44 +100,63 @@ def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
     return k2, k
 
 
-def _residue_product(periods: PrimePeriods, e: int, allowed: tuple[int, ...] = ()) -> int | None:
-    """D mod q, q = periods.residue_prime, folded from the norms N_d mod q,
-    d = 1 .. floor(e/2), as PrimePeriods.norms folds the lifted ones; None
-    at the first N_d mod q outside a nonempty allowed."""
-    q = periods.residue_prime
-    etas = periods.period_residues(e)
-    disc = (-1) ** (e * (e - 1) // 2) % q
-    for d in range(1, e // 2 + 1):
-        norm = 1
-        for a, b in zip(etas, etas[d:] + etas[:d]):
-            norm = norm * (a - b) % q
-        if allowed and norm not in allowed:
-            return None
-        disc = disc * (norm if 2 * d == e else (-1) ** e * norm * norm) % q
-    return disc
+def _d_sign(e: int, middle: int) -> int:
+    """The sign of D = (-1)^(e(e-1)/2) prod N_d, given middle = N_(e/2) for
+    even e: N_d N_(e-d) = (-1)^e N_d^2, so D > 0 for odd e."""
+    return 1 if e % 2 else (-1) ** (e // 2) * (1 if middle > 0 else -1)
+
+
+def _index_from_norms(norms: list[int], delta: FieldDiscriminant) -> tuple[int, int]:
+    """(k^2, k) with k = prod over d < e/2 of |N_d| / p, times sqrt(|N_(e/2)| / p)
+    for even e = delta.exponent + 1, from the exact norms N_d, d <= e/2; a norm
+    that contradicts D = k^2 * delta is a hard error that names it."""
+    e, p = delta.exponent + 1, delta.p
+    k, middle = 1, 0
+    for d, norm in enumerate(norms, 1):
+        if norm == 0:
+            raise NotDivisible(f"norm N_{d} is zero")
+        m, r = divmod(abs(norm), p)
+        if r:
+            raise NotDivisible(f"norm N_{d} = {norm} is not divisible by p = {p}")
+        if 2 * d == e:
+            middle, m = norm, math.isqrt(m)
+            if m * m * p != abs(norm):
+                raise NotPerfectSquare(f"N_{d} / p = {abs(norm) // p} is not a square")
+        k *= m
+    if _d_sign(e, middle) != delta.sign:
+        named = f" by N_{e // 2} = {middle}" if e % 2 == 0 else ""
+        raise NotPerfectSquare(f"D has the sign {-delta.sign}{named}, and delta the sign {delta.sign}")
+    return k * k, k
 
 
 def discriminant_residue(periods: PrimePeriods, e: int) -> int:
-    """D mod q for psi_e of periods.p, q = periods.residue_prime, from the
-    Galois norms of the period differences on the period residues mod q."""
-    return _residue_product(periods, e)
+    """D = (-1)^(e(e-1)/2) prod N_d mod q for psi_e of periods.p, folded from
+    the Galois norms on the period residues mod q = periods.residue_prime."""
+    q = periods.residue_prime
+    disc = (-1) ** (e * (e - 1) // 2)
+    for d, norm in enumerate(galois_norms(periods.period_residues(e), q), 1):
+        # d and e - d together contribute N_d * N_(e-d) = (-1)^e N_d^2
+        disc = disc * (norm if 2 * d == e else (-1) ** e * norm * norm) % q
+    return disc
 
 
 def index_certificate(periods: PrimePeriods, e: int) -> int | None:
     """The prime q that proves k != 1 for psi_e of periods.p, or None.
 
-    Each N_d is p * m_d with an integer m_d >= 1, and k^2 = prod m_d, so the
-    first N_d mod q outside {p, -p} proves k != 1; past the last, so does
-    D mod q != delta mod q.  None says nothing either way, and only classify
-    decides such a pair.  delta is a square mod every q that splits
+    k = 1 exactly when every N_d is p or -p, so the first N_d mod q outside
+    {p, -p}, or past the last a sign of D other than delta's, proves k != 1;
+    None says nothing either way.  delta is a square mod every q that splits
     completely (Stickelberger), so a non-residue raises InternalContradiction.
     """
     q, p = periods.residue_prime, periods.p
-    delta = _delta_sign(e, (p - 1) // e) * pow(p, e - 1, q) % q
-    if pow(delta, (q - 1) // 2, q) != 1:
+    sign = _delta_sign(e, (p - 1) // e)
+    if pow(sign * pow(p, e - 1, q) % q, (q - 1) // 2, q) != 1:
         raise InternalContradiction(f"delta mod {q} is not a square")
-    # an early exit, None, is a certificate as well
-    return None if _residue_product(periods, e, (p, q - p)) == delta else q
+    norm = 0
+    for norm in galois_norms(periods.period_residues(e), q):
+        if abs(norm) != p:
+            return q
+    return None if _d_sign(e, norm) == sign else q
 
 
 @dataclass(frozen=True)
@@ -184,11 +200,10 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     p); otherwise a fresh one is made.  psi's coefficients are compared, in
     closed form and without unfolding, with those of Phi_p (f == 1) or of
     its x + 1/x halving (f == 2).  A psi that equals its shape takes D in
-    closed form, (-1)^((p-1)/2) p^(p-2) or p^(e-1); any other psi takes D
-    from the Galois norms of the period differences (PrimePeriods.norms),
-    and its lifted coefficients are tied to the periods by
-    psi(1) == prod (1 - eta_i).  Either way D is divided by the field
-    discriminant.  The signature follows from Gauss's rule that -1 lies in
+    closed form, (-1)^((p-1)/2) p^(p-2) or p^(e-1), divided by the field
+    discriminant; any other psi takes k from the Galois norms of its periods
+    (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to psi, and
+    D = k^2 * delta.  The signature follows from Gauss's rule that -1 lies in
     the subgroup of order f exactly when f is even: the period field is then
     totally real, and otherwise totally complex.
     """
@@ -199,26 +214,26 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     e, f, p = ctx.e, ctx.f, ctx.p
     psi = periods.polynomial(e).poly
     match = _match_kind(ctx, psi)
+    delta = field_discriminant(e, f, p)
     if match is MatchKind.DIRECT_CYCLOTOMIC:
-        disc = (-1) ** ((p - 1) // 2) * p ** (p - 2)
+        k2, k = index_squared((-1) ** ((p - 1) // 2) * p ** (p - 2), delta)
     elif match is MatchKind.REDUCED_CYCLOTOMIC:
-        disc = p ** (e - 1)
+        k2, k = index_squared(p ** (e - 1), delta)
     else:
-        disc, at_one = periods.norms(e)
+        norms, at_one = periods.norms(e)
         if sum(psi.coeffs) != at_one:
             raise InternalContradiction(
                 f"psi(1) = {sum(psi.coeffs)} differs from the norm {at_one} of its periods "
                 f"for (e={e}, f={f})"
             )
-    delta = field_discriminant(e, f, p)
-    k2, k = index_squared(disc, delta)
+        k2, k = _index_from_norms(norms, delta)
     return ClassificationRecord(
         e=e,
         f=f,
         p=p,
         g=ctx.g,
         psi=psi,
-        poly_discriminant=disc,
+        poly_discriminant=k2 * delta.value(),
         field_discriminant=delta,
         k_squared=k2,
         k=k,

@@ -12,11 +12,11 @@ root-of-unity tables of p once and builds psi_e for every e | p - 1 from
 them, so a survey that visits many e of one p pays for those tables once.
 It reconstructs the e periods mod M from their sums mod each prime and
 multiplies out prod (x - eta_i) once, modulo M, by a product tree whose
-levels multiply packed ints (Kronecker substitution).  The same
-reconstruction, continued to M > 2 (2f)^e, gives psi_e's discriminant exactly
-from the Galois norms of the period differences (norms).  Its first step alone
-gives the periods modulo the first CRT prime (period_residues), which is all
-a monogenicity certificate needs.
+levels multiply packed ints (Kronecker substitution).  Continued to
+M > 2 (2f)^e, the same reconstruction gives the Galois norms of the period
+differences exactly (norms, by the one loop galois_norms); its first step
+alone, the periods modulo the first CRT prime (period_residues), is all a
+monogenicity certificate needs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
+from typing import Iterator
 
 from .intpoly import IntPoly
 from .number_theory import (
@@ -117,6 +118,18 @@ def _lift(val: int, mod: int) -> int:
     return val - mod if val > mod // 2 else val
 
 
+def galois_norms(etas: list[int], mod: int) -> Iterator[int]:
+    """N_d = prod_i (eta_i - eta_(i+d mod e)), d = 1 .. floor(e/2), from the
+    e periods mod mod, lifted to (-mod/2, mod/2].  sigma: eta_i -> eta_(i+1)
+    generates the Galois group, so N_d is the norm of eta_0 - eta_d, a
+    rational integer, and N_(e-d) = (-1)^e N_d stands for the other half."""
+    for d in range(1, len(etas) // 2 + 1):
+        norm = 1
+        for a, b in zip(etas, etas[d:] + etas[:d]):
+            norm = norm * (a - b) % mod
+        yield _lift(norm, mod)
+
+
 def _product_mod(etas: list[int], mod: int) -> list[int]:
     """prod (x - eta) modulo mod, low degree first, for etas in [0, mod).
 
@@ -173,11 +186,9 @@ class PrimePeriods:
     eta_i mod M (Garner's step on e sums) and the product of the e linear
     factors is taken once, modulo M, whatever n is, by the product tree of
     _product_mod; the symmetric lift of its coefficients is psi_e.  norms
-    takes the periods mod M through the same Garner step (_periods_mod), with
-    the bound (2f)^e of the norms, and continues the reconstruction that
-    polynomial(e) left.  period_residues is that step at the first prime
-    alone, so a certificate's residues are where a later polynomial(e) or
-    norms(e) starts.
+    continues the same Garner step (_periods_mod) to the bound (2f)^e of the
+    Galois norms, and period_residues is that step at the first prime alone,
+    where a later polynomial(e) or norms(e) starts.
     """
 
     def __init__(self, p: int, g: int):
@@ -231,7 +242,7 @@ class PrimePeriods:
 
         The images come from the ring map Z[zeta] -> GF(q) that sends zeta to
         w, so any integer polynomial in the periods (psi_e's coefficients,
-        its discriminant) reduces mod q to the same polynomial in them.  They
+        the Galois norms) reduces mod q to the same polynomial in them.  They
         are _periods_mod's first Garner step, which polynomial(e) continues.
         """
         self._check_divisor(e)
@@ -270,34 +281,17 @@ class PrimePeriods:
         etas, mod = self._periods_mod(e, coefficient_bound(ctx))
         return PeriodPolynomial(ctx, IntPoly([_lift(val, mod) for val in _product_mod(etas, mod)]))
 
-    def norms(self, e: int) -> tuple[int, int]:
-        """(D, psi_e(1)) for a divisor e of p - 1, from Galois norms of the
-        periods and no remainder sequence.
-
-        sigma: eta_i -> eta_(i+1 mod e) generates the Galois group, so
-        N_d = prod_i (eta_i - eta_(i+d mod e)) is the norm of eta_0 - eta_d, a
-        rational integer, and psi_e(1) = prod_i (1 - eta_i) the norm of
-        1 - eta_0.  Each eta is a sum of f roots of unity, so both are at most
-        (2f)^e in absolute value and lift exactly from mod M > 2 (2f)^e.
-        Reindexing gives N_(e-d) = (-1)^e N_d, and
-        D = (-1)^(e(e-1)/2) prod over d = 1 .. e-1 of N_d, so the floor(e/2)
-        norms with d <= e/2 take about e^2/2 products mod M.
-        """
+    def norms(self, e: int) -> tuple[list[int], int]:
+        """([N_1, ..., N_(e/2)] of galois_norms, psi_e(1) = prod_i (1 - eta_i))
+        exactly for e | p - 1: each eta is a sum of f roots of unity, so all
+        are at most (2f)^e in absolute value and lift from mod M > 2 (2f)^e."""
         self._check_divisor(e)
         f = (self.p - 1) // e
         etas, mod = self._periods_mod(e, (2 * f) ** e)
         at_one = 1
         for eta in etas:
             at_one = at_one * (1 - eta) % mod
-        disc = (-1) ** (e * (e - 1) // 2)
-        for d in range(1, e // 2 + 1):
-            norm = 1
-            for a, b in zip(etas, etas[d:] + etas[:d]):
-                norm = norm * (a - b) % mod
-            norm = _lift(norm, mod)
-            # d and e - d together contribute N_d * N_(e-d) = (-1)^e N_d^2
-            disc *= norm if 2 * d == e else (-1) ** e * norm * norm
-        return disc, _lift(at_one, mod)
+        return list(galois_norms(etas, mod)), _lift(at_one, mod)
 
 
 def period_polynomial_modular(ctx: PrimeContext) -> PeriodPolynomial:

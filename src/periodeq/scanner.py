@@ -11,8 +11,9 @@ sequence runs, since classify takes D in closed form or from the Galois
 norms of the period differences.  The census, the full doublet survey and
 the cubic counts need only which pairs are monogenic: they take
 index_certificate's proof of k != 1 where it exists and classify the other
-pairs, whose exact D is checked against the residue the certificate
-computed.
+pairs.  Both read the same Galois norms, the certificate modulo one prime
+and classify exactly, so an uncertified pair's exact D is congruent to
+delta modulo that prime by construction and is not checked again.
 """
 
 from __future__ import annotations
@@ -119,18 +120,7 @@ def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
 
 def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods) -> ClassificationRecord | None:
     """None if index_certificate proves k != 1, else classify's record."""
-    if index_certificate(periods, ctx.e) is not None:
-        return None
-    rec = classify(ctx, periods)
-    # without a certificate the residue product equals delta mod q, and the
-    # exact D must agree with it.  A matched pair's closed-form D is tied to
-    # the residues here; an unmatched pair's D comes from the same periods
-    # (M is a multiple of q), so this re-derives the residue product and
-    # checks only the sign rule of the norms
-    q = periods.residue_prime
-    if rec.poly_discriminant % q != rec.field_discriminant.value() % q:
-        raise InternalContradiction(f"exact D differs from its residue product mod {q}")
-    return rec
+    return None if index_certificate(periods, ctx.e) is not None else classify(ctx, periods)
 
 
 def _run_tasks(step, tasks: list[tuple[int, int]], worker_count: int) -> list:

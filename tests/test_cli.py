@@ -556,16 +556,16 @@ def test_scan_internal_contradiction_exits_4(monkeypatch, capsys):
 
     real = PrimePeriods.norms
 
-    def doubled(self, e):
-        disc, at_one = real(self, e)
-        return 2 * disc, at_one
+    def perturbed(self, e):
+        norms, at_one = real(self, e)
+        return [norms[0] + 1, *norms[1:]], at_one
 
     # (5, 2) matches the halving of Phi_11 and never takes the norms; (5, 6)
-    # does, and 2 * D over delta is 2 k^2, not a square
-    monkeypatch.setattr(PrimePeriods, "norms", doubled)
+    # does, and p = 31 divides N_1 but not N_1 + 1
+    monkeypatch.setattr(PrimePeriods, "norms", perturbed)
     code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32"])
     assert code == 4
-    assert "(e=5, f=6)" in err and "not a square" in err
+    assert "(e=5, f=6)" in err and "N_1" in err and "not divisible" in err
 
 
 def test_scan_zero_norm_exits_4(monkeypatch, capsys):
@@ -624,22 +624,6 @@ def test_doublets_full_mode_from_e_min_1(capsys):
     assert out.splitlines() == ["2 6 18 30 36", "count for 1 <= e <= 40: 5"]
 
 
-def test_doublets_full_mode_exits_4_on_a_residue_mismatch(monkeypatch, capsys):
-    import dataclasses
-
-    import periodeq.scanner as scanner_mod
-
-    def shifted(ctx, periods=None):
-        rec = classify(ctx, periods)
-        return dataclasses.replace(rec, poly_discriminant=rec.poly_discriminant + 1)
-
-    monkeypatch.setattr(scanner_mod, "classify", shifted)
-    code, out, err = run(capsys, ["doublets", "--e-max", "40", "--mode", "full"])
-    assert code == 4
-    assert out == ""
-    assert "(e=6, f=1)" in err and "residue" in err
-
-
 def test_doublets_invalid_input_exits_2(capsys):
     code, _, err = run(capsys, ["doublets", "--e-max", "10", "--mode", "full", "--workers", "-3"])
     assert code == 2
@@ -655,6 +639,29 @@ def test_cubic_growth_command(capsys):
     assert "p <= 100: 6 monogenic" in out
     assert "p <= 1000: 14 monogenic" in out
     assert "log-log slope: 0.36" in out
+
+
+def test_cubic_growth_exits_4_on_a_wrong_exact_norm(monkeypatch, capsys):
+    from periodeq.monogeneity import index_certificate
+    from periodeq.periods import PrimePeriods
+
+    # (3, 4) at p = 13 has k = 1 and no match, so no certificate settles it
+    # and the summary path takes its exact norms
+    ctx = make_context(3, 4)
+    assert index_certificate(PrimePeriods(13, ctx.g), 3) is None
+    rec = classify(ctx)
+    assert (rec.k, rec.match_kind) == (1, MatchKind.NO_MATCH)
+    real = PrimePeriods.norms
+
+    def perturbed(self, e):
+        norms, at_one = real(self, e)
+        return ([norms[0] + 1, *norms[1:]] if self.p == 13 else norms), at_one
+
+    monkeypatch.setattr(PrimePeriods, "norms", perturbed)
+    code, out, err = run(capsys, ["cubic-growth", "--p-bound", "20"])
+    assert code == 4
+    assert out == ""
+    assert "(e=3, f=4)" in err and "N_1" in err and "not divisible" in err
 
 
 def test_table_verification_passes(capsys):

@@ -23,6 +23,7 @@ from periodeq.monogeneity import (
     NotDivisible,
     NotPerfectSquare,
     _halved_cyclotomic,
+    _index_from_norms,
     _match_kind,
     classify,
     discriminant_residue,
@@ -266,7 +267,8 @@ def test_psi_off_the_shape_must_match_its_norms(monkeypatch):
 
 
 def test_norm_discriminant_equals_the_chain():
-    # every f >= 3 pair with p <= 300, and two with e >= 100
+    # every f >= 3 pair with p <= 300, and two with e >= 100: the k that
+    # classify folds from the norms, and D = k^2 * delta, are the chain's
     contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f >= 3]
     contexts += [make_context(102, 3), make_context(104, 3)]
     assert {ctx.e % 4 for ctx in contexts} == {0, 1, 2, 3}
@@ -276,10 +278,11 @@ def test_norm_discriminant_equals_the_chain():
             shared[ctx.p] = PrimePeriods(ctx.p, ctx.g)
         periods = shared[ctx.p]
         psi = periods.polynomial(ctx.e).poly
-        disc, at_one = periods.norms(ctx.e)
-        want = discriminant(psi) if ctx.e > 1 else 1
-        assert (disc, at_one) == (want, sum(psi.coeffs)), (ctx.e, ctx.f)
-        assert classify(ctx, periods).poly_discriminant == disc
+        assert periods.norms(ctx.e)[1] == sum(psi.coeffs), (ctx.e, ctx.f)
+        disc = discriminant(psi) if ctx.e > 1 else 1
+        k2, k = index_squared(disc, field_discriminant(ctx.e, ctx.f, ctx.p))
+        rec = classify(ctx, periods)
+        assert (rec.poly_discriminant, rec.k_squared, rec.k) == (disc, k2, k), (ctx.e, ctx.f)
 
 
 def test_zero_norm_raises_not_divisible(monkeypatch):
@@ -294,6 +297,33 @@ def test_zero_norm_raises_not_divisible(monkeypatch):
     monkeypatch.setattr(PrimePeriods, "_periods_mod", all_minus_one)
     with pytest.raises(NotDivisible, match="zero"):
         classify(make_context(6, 3))
+
+
+def test_index_from_norms_on_hand_made_lists():
+    # e = 6, p = 13: m_d = 2, 3, 4, so k = 2 * 3 * sqrt(4); D has the sign
+    # (-1)^3 sgn N_3, so delta > 0 asks for N_3 < 0
+    assert _index_from_norms([26, -39, -52], FieldDiscriminant(1, 13, 5)) == (144, 12)
+    assert _index_from_norms([26, -39, 52], FieldDiscriminant(-1, 13, 5)) == (144, 12)
+    # odd e has no middle norm, and D > 0 whatever the signs
+    assert _index_from_norms([-33, 22], FieldDiscriminant(1, 11, 4)) == (36, 6)
+    # e = 1 has no norms at all
+    assert _index_from_norms([], FieldDiscriminant(1, 3, 0)) == (1, 1)
+    # e = 2: the one norm is the middle one, and D = -N_1 = 45
+    assert _index_from_norms([-45], FieldDiscriminant(1, 5, 1)) == (9, 3)
+
+
+@pytest.mark.parametrize(
+    "norms, error, named",
+    [
+        ([26, -40, -52], NotDivisible, r"N_2 = -40 is not divisible by p = 13"),
+        ([26, 0, -52], NotDivisible, r"N_2 is zero"),
+        ([26, -39, -26], NotPerfectSquare, r"N_3 / p = 2 is not a square"),
+        ([26, -39, 52], NotPerfectSquare, r"sign -1 by N_3 = 52"),
+    ],
+)
+def test_index_from_norms_names_each_contradiction(norms, error, named):
+    with pytest.raises(error, match=named):
+        _index_from_norms(norms, FieldDiscriminant(1, 13, 5))
 
 
 def test_closed_form_halving_is_the_reduced_cyclotomic_polynomial():
@@ -476,6 +506,9 @@ def test_index_certificate_checks_that_d_over_delta_is_a_square(monkeypatch):
     for etas, want in (([0, 2 * r % q], q), ([5, (5 + r) % q], None)):
         monkeypatch.setattr(periods, "period_residues", lambda e, etas=etas: etas)
         assert index_certificate(periods, 2) == want
+    # N_1 = +17 passes the loop, but D = -N_1 = -17 has the sign opposite delta's
+    monkeypatch.setattr(mono_mod, "galois_norms", lambda etas, mod: iter([17]))
+    assert index_certificate(periods, 2) == q
     monkeypatch.setattr(mono_mod, "_delta_sign", lambda e, f: non_residue)
     with pytest.raises(InternalContradiction, match="not a square"):
         index_certificate(periods, 2)

@@ -208,25 +208,35 @@ def test_prime_periods_serve_every_e_up_to_p300():
                 assert built.ctx == PrimeContext(p=p, e=e, f=ctx.f, g=periods.g)
 
 
+def _fewest_primes(primes: list[int], bound: int) -> int:
+    """The number of leading primes whose product first exceeds 2 * bound."""
+    n, modulus = 0, 1
+    while modulus <= 2 * bound:
+        modulus *= primes[n]
+        n += 1
+    return n
+
+
 def test_prime_periods_at_large_e_and_above_p300():
-    # psi_e is one product modulo the whole CRT modulus M; at p = 503 that M
-    # spans 14 primes for e = 251 and 18 for e = 502
+    # psi_e is one product modulo the whole CRT modulus M, the product of the
+    # fewest shared primes that exceeds twice psi_e's coefficient bound
     periods = PrimePeriods(503, primitive_root(503))
-    assert periods.polynomial(251).poly == demoivre_reduce(cyclotomic_prime(503))
-    assert len(periods._primes) == 14
-    assert periods.polynomial(502).poly == cyclotomic_prime(503)
-    assert len(periods._primes) == 18
+    for e, want in ((251, demoivre_reduce(cyclotomic_prime(503))), (502, cyclotomic_prime(503))):
+        assert periods.polynomial(e).poly == want
+        bound = coefficient_bound(make_context(e, 502 // e))
+        assert len(periods._primes) == _fewest_primes(periods._primes, bound) > 1, e
     # acceptance 07 ties the builds to the exact oracle up to p = 300
     ctx = make_context(40, 10)
     periods = PrimePeriods(401, ctx.g)
     assert periods.polynomial(40).poly == period_polynomial_exact(ctx).poly
-    assert len(periods._primes) == 5
+    assert len(periods._primes) == _fewest_primes(periods._primes, coefficient_bound(ctx))
 
 
 def test_norms_and_polynomial_do_not_depend_on_call_order():
     # each e keeps its furthest Garner reconstruction: norms continues the
-    # one polynomial left, and polynomial reduces the one norms left; f = 1
-    # and 2 are the matched shapes, the rest unmatched
+    # one polynomial left, and polynomial reduces the one norms left, so the
+    # list of exact norms and psi(1) are the same in either order; f = 1 and
+    # 2 are the matched shapes, the rest unmatched
     for p in (11, 31, 61, 101, 193):
         g = primitive_root(p)
         divisors = [d for d in range(1, p) if (p - 1) % d == 0]

@@ -248,26 +248,3 @@ def test_summary_paths_equal_what_scan_records_give(workers):
     assert (growth.total_pairs, growth.monogenic_total) == (len(cubics), len(mono_ps))
     xs, ys = zip(*((math.log10(b), math.log10(c)) for b, c in checkpoints))
     assert growth.slope == statistics.linear_regression(xs, ys).slope
-
-
-def test_summary_paths_check_exact_d_against_the_residue(monkeypatch):
-    import dataclasses
-
-    import periodeq.scanner as scanner_mod
-
-    def shifted(ctx, periods=None):
-        rec = classify(ctx, periods)
-        return dataclasses.replace(rec, poly_discriminant=rec.poly_discriminant + 1)
-
-    monkeypatch.setattr(scanner_mod, "classify", shifted)
-    # each survey's first pair without a certificate (k = 1) is classified,
-    # and its D is checked against the residue there
-    for survey, pair in (
-        (lambda: missing_e_census(8, 20), (4, 1)),
-        (lambda: doublet_survey(10, mode=ScanMode.FULL), (6, 1)),
-        (lambda: cubic_growth(20), (3, 2)),
-    ):
-        with pytest.raises(ScanFailure, match="residue") as info:
-            survey()
-        assert (info.value.e, info.value.f) == pair
-    assert scan(ScanSpec(6, 6, 8)).records[0].poly_discriminant == -(7**5) + 1
