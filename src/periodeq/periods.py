@@ -12,18 +12,28 @@ root-of-unity tables of p once and builds psi_e for every e | p - 1 from
 them, so a survey that visits many e of one p pays for those tables once.
 It reconstructs the e periods mod M from their sums mod each prime and
 multiplies out prod (x - eta_i) once, modulo M, by a product tree whose
-levels multiply packed ints (Kronecker substitution).  Continued to
-M > 2 (2f)^e, the same reconstruction gives the Galois norms of the period
+levels multiply packed ints (Kronecker substitution).  Continued to the
+norms' bound, the same reconstruction gives the Galois norms of the period
 differences exactly (norms, by the one loop galois_norms); its first step
 alone, the periods modulo the first CRT prime (period_residues), is all a
 monogenicity certificate needs.
+
+Both bounds that size M come from two exact identities of the periods
+(Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2), which follow
+from sum over x != 0 of zeta^(cx) = -1 for c != 0 mod p:
+sum_i |eta_i|^2 = p - f, and sum_i eta_i conj(eta_(i+d)) = -f for
+d != 0 mod e, so sum_i |eta_i - eta_(i+d)|^2 = 2p.  The first bounds the
+coefficients through Maclaurin's inequality (coefficient_bound), the
+second the norms through AM-GM (PrimePeriods.norms); neither is ever
+larger than the bound that the worst case |eta_i| <= f gives, and the
+norms' takes about half its bits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 from operator import itemgetter
 from typing import Iterator
 
@@ -105,9 +115,21 @@ def period_polynomial_exact(ctx: PrimeContext) -> PeriodPolynomial:
 
 
 def coefficient_bound(ctx: PrimeContext) -> int:
-    """max_j C(e, j) * f^j bounds every coefficient of the period polynomial."""
-    e, f = ctx.e, ctx.f
-    return max(comb(e, j) * f**j for j in range(e + 1))
+    """An integer B with |a| <= B for every coefficient a of psi_e.
+
+    psi_e's coefficient of x^(e-j) is +-e_j(eta), and
+    |e_j(eta)| <= e_j(|eta|) <= C(e, j) m^j, m the mean of the |eta_i|, by
+    Maclaurin's inequality (Hardy, Littlewood and Polya, Inequalities,
+    2.22).  m <= r, r^2 = (p - f)/e the mean of |eta_i|^2 (the module
+    docstring's first identity).  The terms C(e, j) r^j are log-concave in
+    j, so they peak at the first j with (e - j) r < j + 1, compared squared
+    in integers.  An integer a with a^2 <= X has a^2 <= floor(X), so
+    B = isqrt(C(e, j)^2 (p - f)^j // e^j) at that j.  As r^2 <= f, B never
+    exceeds the worst-case bound max_j C(e, j) f^j.
+    """
+    e, excess = ctx.e, ctx.p - ctx.f
+    j = next(j for j in range(e + 1) if (e - j) ** 2 * excess < (j + 1) ** 2 * e)
+    return isqrt(comb(e, j) ** 2 * excess**j // e**j)
 
 
 _LEAF = 8  # linear factors per leaf of _product_mod's tree
@@ -186,9 +208,12 @@ class PrimePeriods:
     eta_i mod M (Garner's step on e sums) and the product of the e linear
     factors is taken once, modulo M, whatever n is, by the product tree of
     _product_mod; the symmetric lift of its coefficients is psi_e.  norms
-    continues the same Garner step (_periods_mod) to the bound (2f)^e of the
-    Galois norms, and period_residues is that step at the first prime alone,
-    where a later polynomial(e) or norms(e) starts.
+    continues the same Garner step (_periods_mod) to its own bound,
+    (2p/e)^(e/2), and period_residues is that step at the first prime
+    alone, where a later polynomial(e) or norms(e) starts.  Both bounds
+    rest on the identities sum_i |eta_i|^2 = p - f and
+    sum_i |eta_i - eta_(i+d)|^2 = 2p (module docstring), not on the worst
+    case |eta_i| <= f, which asks for about twice the bits.
     """
 
     def __init__(self, p: int, g: int):
@@ -283,11 +308,18 @@ class PrimePeriods:
 
     def norms(self, e: int) -> tuple[list[int], int]:
         """([N_1, ..., N_(e/2)] of galois_norms, psi_e(1) = prod_i (1 - eta_i))
-        exactly for e | p - 1: each eta is a sum of f roots of unity, so all
-        are at most (2f)^e in absolute value and lift from mod M > 2 (2f)^e."""
+        exactly for e | p - 1, lifted from mod M > 2 isqrt((2p)^e // e^e).
+
+        sum_i |eta_i - eta_(i+d)|^2 = 2p for d != 0 mod e (Berndt, Evans and
+        Williams, Gauss and Jacobi Sums, ch. 2), so by AM-GM
+        |N_d|^2 <= (2p/e)^e.  With sum_i eta_i = -1 and
+        sum_i |eta_i|^2 = p - f, sum_i |1 - eta_i|^2 = e + 2 + p - f <= 2p
+        as f >= 1, so |psi_e(1)|^2 <= (2p/e)^e as well.  Each is an integer,
+        so its square is at most the floor of (2p/e)^e.  As
+        2p/e <= 4f^2, the bound never exceeds the worst case (2f)^e of
+        periods that are sums of f roots of unity."""
         self._check_divisor(e)
-        f = (self.p - 1) // e
-        etas, mod = self._periods_mod(e, (2 * f) ** e)
+        etas, mod = self._periods_mod(e, isqrt((2 * self.p) ** e // e**e))
         at_one = 1
         for eta in etas:
             at_one = at_one * (1 - eta) % mod

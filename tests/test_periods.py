@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import accumulate, islice
+from math import comb, isqrt
 
 import mpmath
 import pytest
@@ -25,6 +27,7 @@ from periodeq.periods import (
     _power_table,
     _product_mod,
     coefficient_bound,
+    galois_norms,
     period_polynomial_exact,
     period_polynomial_modular,
 )
@@ -93,6 +96,13 @@ def test_exact_build_equals_the_periods_numerically():
             rounded = [int(mpmath.nint(c.real)) for c in coeffs]
             assert all(abs(c - r) < 1e-30 for c, r in zip(coeffs, rounded)), (e, f)
             assert period_polynomial_exact(ctx).poly == IntPoly(rounded[::-1]), (e, f)
+            # the identities behind the CRT bounds: sum |eta_i|^2 = p - f and
+            # sum |eta_i - eta_(i+d)|^2 = 2p for every d != 0 mod e
+            etas = [mpmath.fsum(zeta[pow(ctx.g, k * e + i, p)] for k in range(f)) for i in range(e)]
+            assert abs(mpmath.fsum(abs(eta) ** 2 for eta in etas) - (p - f)) < 1e-30, (e, f)
+            for d in range(1, e):
+                spread = mpmath.fsum(abs(etas[i] - etas[(i + d) % e]) ** 2 for i in range(e))
+                assert abs(spread - 2 * p) < 1e-30, (e, f, d)
 
 
 def test_exact_build_equals_prime_periods_near_p_100000():
@@ -100,6 +110,52 @@ def test_exact_build_equals_prime_periods_near_p_100000():
     for e, p in ((2, 100003), (3, 100003), (4, 100049), (12, 100057)):
         ctx = make_context(e, (p - 1) // e)
         assert period_polynomial_exact(ctx).poly == PrimePeriods(p, ctx.g).polynomial(e).poly, (e, p)
+
+
+# -- CRT bounds ----------------------------------------------------------------
+
+
+def test_coefficient_bound_holds_and_is_nearly_attained_up_to_p400():
+    # the exact build takes no modulus, so its coefficients test the bound
+    # independently; the bound never exceeds the worst case |eta_i| <= f,
+    # and a largest ratio above 0.99 at e >= 4 (e = 2 attains it trivially)
+    # leaves no room for a tighter one: (p, e) = (197, 4) reaches 1
+    worst = Fraction(0)
+    for ctx in all_contexts(400):
+        bound = coefficient_bound(ctx)
+        assert bound <= max(comb(ctx.e, j) * ctx.f**j for j in range(ctx.e + 1)), (ctx.e, ctx.f)
+        top = max(abs(c) for c in period_polynomial_exact(ctx).poly.coeffs)
+        assert top <= bound, (ctx.e, ctx.f)
+        if ctx.e >= 4:
+            worst = max(worst, Fraction(top, bound))
+    assert worst > 0.99
+
+
+def test_norm_bound_holds_and_is_nearly_attained_up_to_p400():
+    # the norms and psi(1) lifted from the worst-case modulus M > 2 (2f)^e
+    # lie within isqrt((2p)^e // e^e) and equal what norms(e) lifts from
+    # the fewest primes above twice that bound; a largest ratio above 0.99
+    # at e >= 4 leaves no room for a tighter bound: (p, e) = (293, 4)
+    # reaches 0.9966
+    worst = Fraction(0)
+    for p in filter(is_prime, range(3, 401)):
+        g = primitive_root(p)
+        wide, periods = PrimePeriods(p, g), PrimePeriods(p, g)
+        for e in (d for d in range(1, p) if (p - 1) % d == 0):
+            f = (p - 1) // e
+            etas, mod = wide._periods_mod(e, (2 * f) ** e)
+            at_one = 1
+            for eta in etas:
+                at_one = at_one * (1 - eta) % mod
+            exact = (list(galois_norms(etas, mod)), at_one - mod if at_one > mod // 2 else at_one)
+            bound = isqrt((2 * p) ** e // e**e)
+            assert bound <= (2 * f) ** e, (p, e)
+            assert all(abs(n) <= bound for n in (*exact[0], exact[1])), (p, e)
+            assert periods.norms(e) == exact, (p, e)
+            assert periods._etas[e][0] == _fewest_primes(periods._primes, bound), (p, e)
+            if e >= 4:
+                worst = max([worst, *(Fraction(abs(n), bound) for n in exact[0])])
+    assert worst > 0.99
 
 
 # -- period polynomials ---------------------------------------------------

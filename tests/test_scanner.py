@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from periodeq.intpoly import IntPoly, Signature
 from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
 import periodeq
+from periodeq.cli import records_to_csv
 from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
 from periodeq.scanner import (
     CubicGrowthReport,
@@ -61,6 +63,18 @@ def test_small_full_scan_report():
     assert keyed[(4, 4)].k == 2 and not keyed[(4, 4)].monogenic
     assert keyed[(6, 2)].match_kind is MatchKind.REDUCED_CYCLOTOMIC
     assert summarize(report.spec, reversed(report.records)).doublets == (6,)
+
+
+def test_scan_bytes_where_the_bounds_take_fewest_primes():
+    # e <= 12 with f up to 4999: the bounds of the exact build shrink the
+    # CRT modulus most where f is large, and the CSV bytes must not move;
+    # the digest was taken from the build with worst-case bounds
+    report = scan(ScanSpec(1, 12, 5000))
+    assert len(report.records) == 3256
+    text = records_to_csv(report.records)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "50291a46e42361ca118fb0a24aac6d0ffcb23f264e7f58af169806b08c4253b6"
+    )
 
 
 def test_scan_worker_determinism():
