@@ -112,7 +112,7 @@ def test_exact_build_equals_prime_periods_near_p_100000():
         assert period_polynomial_exact(ctx).poly == PrimePeriods(p, ctx.g).polynomial(e).poly, (e, p)
 
 
-# -- CRT bounds ----------------------------------------------------------------
+# -- CRT bounds ------------------------------------------------------------------
 
 
 def test_coefficient_bound_holds_and_is_nearly_attained_up_to_p400():
@@ -147,14 +147,15 @@ def test_norm_bound_holds_and_is_nearly_attained_up_to_p400():
             at_one = 1
             for eta in etas:
                 at_one = at_one * (1 - eta) % mod
-            exact = (list(galois_norms(etas, mod)), at_one - mod if at_one > mod // 2 else at_one)
+            at_one = at_one - mod if at_one > mod // 2 else at_one
+            norms = list(galois_norms(etas, mod))
             bound = isqrt((2 * p) ** e // e**e)
             assert bound <= (2 * f) ** e, (p, e)
-            assert all(abs(n) <= bound for n in (*exact[0], exact[1])), (p, e)
-            assert periods.norms(e) == exact, (p, e)
+            assert all(abs(n) <= bound for n in (*norms, at_one)), (p, e)
+            assert periods.norms(e) == (norms, at_one), (p, e)
             assert periods._etas[e][0] == _fewest_primes(periods._primes, bound), (p, e)
             if e >= 4:
-                worst = max([worst, *(Fraction(abs(n), bound) for n in exact[0])])
+                worst = max(worst, *(Fraction(abs(n), bound) for n in norms))
     assert worst > 0.99
 
 
