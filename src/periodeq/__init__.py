@@ -23,7 +23,6 @@ from .monogeneity import (
     NotDivisible,
     NotPerfectSquare,
     classify,
-    discriminant_residue,
     field_discriminant,
     index_certificate,
     index_squared,

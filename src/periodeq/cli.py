@@ -7,9 +7,10 @@ A record's wire fields are named once, by record_to_json_dict in
 CSV_HEADER order, and read back only by record_from_json_dict; CSV respells
 monogenic as true/false and packs the coefficient vector, highest degree
 first, into one space-separated quoted field.  Integers that can exceed 64
-bits (k, k^2, coefficients) are decimal strings in JSON.  Both formats
-round-trip byte for byte, and a malformed or self-contradictory record
-raises ValueError.
+bits (k, k^2, coefficients) are decimal strings in JSON.  CSV round-trips
+byte for byte through parse_csv_records, and each record of a JSON report
+through record_from_json_dict; a malformed or self-contradictory record
+raises ValueError.  Nothing reads a JSON report as a whole.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from itertools import zip_longest
 
 from .intpoly import (
     IntPoly,
@@ -50,9 +50,7 @@ from .scanner import (
     cubic_growth,
     doublet_survey,
     fast_doublet_candidates,
-    iter_scan_tasks,
     scan,
-    summarize,
 )
 
 CSV_HEADER = "e,f,p,g,n_real,delta_sign,delta_exponent,k_squared,k,monogenic,match_kind,coeffs"
@@ -182,35 +180,13 @@ def report_to_json(report: ScanReport) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def report_from_json(text: str) -> ScanReport:
-    """Read a scan report back; a malformed spec or record list, or records
-    that are not the spec's pairs in scan order, raise ValueError."""
-    obj = json.loads(text)
-    spec = obj.get("spec") if isinstance(obj, dict) else None
-    if not isinstance(spec, dict) or type(obj.get("records")) is not list:
-        raise ValueError("a scan report needs a spec object and a records list")
-    if spec.get("mode") != "full":
-        raise ValueError(f"cannot read a scan report of mode {spec.get('mode')!r}")
-    spec = ScanSpec(**{k: _wire_int(k, spec.get(k)) for k in ("e_min", "e_max", "p_bound")})
-    records = [record_from_json_dict(d) for d in obj["records"]]
-    # stop at the first pair that differs, or the first one past the records,
-    # so the cost follows the report's size, not the spec's p_bound
-    pairs = ((r.e, r.f) for r in records)
-    if any(a != b for a, b in zip_longest(pairs, iter_scan_tasks(spec))):
-        raise ValueError(
-            f"the records' (e, f) are not the pairs of e {spec.e_min}..{spec.e_max}, "
-            f"p <= {spec.p_bound}, once each and in order"
-        )
-    return summarize(spec, records)
-
-
 # -- reference table verification --------------------------------------
 
 
-def verify_reference_rows(rows=None) -> list[tuple[ReferenceRow, bool, str]]:
+def verify_reference_rows() -> list[tuple[ReferenceRow, bool, str]]:
     """Recompute each pinned row from scratch; returns (row, ok, detail)."""
     results = []
-    for row in TABLE_ROWS if rows is None else rows:
+    for row in TABLE_ROWS:
         rec = classify(make_context(row.e, row.f))
         problems = []
         if rec.psi.high_to_low() != row.coeffs_high_to_low:

@@ -129,17 +129,6 @@ def _index_from_norms(norms: list[int], delta: FieldDiscriminant) -> tuple[int, 
     return k * k, k
 
 
-def discriminant_residue(periods: PrimePeriods, e: int) -> int:
-    """D = (-1)^(e(e-1)/2) prod N_d mod q for psi_e of periods.p, folded from
-    the Galois norms on the period residues mod q = periods.residue_prime."""
-    q = periods.residue_prime
-    disc = (-1) ** (e * (e - 1) // 2)
-    for d, norm in enumerate(galois_norms(periods.period_residues(e), q), 1):
-        # d and e - d together contribute N_d * N_(e-d) = (-1)^e N_d^2
-        disc = disc * (norm if 2 * d == e else (-1) ** e * norm * norm) % q
-    return disc
-
-
 def index_certificate(periods: PrimePeriods, e: int) -> int | None:
     """The prime q that proves k != 1 for psi_e of periods.p, or None.
 

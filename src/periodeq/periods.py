@@ -52,6 +52,22 @@ class NonIntegerCoefficient(InternalContradiction):
     """Raised if a coefficient that must be a rational integer is not one."""
 
 
+# The most table entries a PrimePeriods may hold: its table of g^t mod p and
+# one table per CRT prime, p - 1 entries each.  The largest pair of e <= 250,
+# p <= 10**5 is e = 250, p = 99251, whose norms take 42 primes: 4267750.
+MAX_TABLE_ENTRIES = 4_500_000
+
+
+def _check_table_budget(p: int, tables: int) -> None:
+    """InvalidContext if `tables` tables of p - 1 entries would exceed
+    MAX_TABLE_ENTRIES; checked before the last of them is built."""
+    if tables * (p - 1) > MAX_TABLE_ENTRIES:
+        raise InvalidContext(
+            f"p = {p} would need {tables} tables of {p - 1} entries, "
+            f"over the table budget MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+        )
+
+
 def _power_table(base: int, mod: int, n: int) -> list[int]:
     """base^t mod mod for t = 0 .. n-1: the product chain up to t = 255,
     then one comprehension per doubling, the table so far times base^len."""
@@ -213,13 +229,16 @@ class PrimePeriods:
     alone, where a later polynomial(e) or norms(e) starts.  Both bounds
     rest on the identities sum_i |eta_i|^2 = p - f and
     sum_i |eta_i - eta_(i+d)|^2 = 2p (module docstring), not on the worst
-    case |eta_i| <= f, which asks for about twice the bits.
+    case |eta_i| <= f, which asks for about twice the bits.  A table that
+    would take the entries past MAX_TABLE_ENTRIES is refused, with
+    InvalidContext, before it is built.
     """
 
     def __init__(self, p: int, g: int):
         # p an odd prime and g of order p - 1, else the classes ys[i::e] are not the periods
         if not is_primitive_root(g, p):
             raise InvalidContext(f"g = {g} is not a primitive root mod an odd prime p = {p} < {PRIME_TEST_BOUND}")
+        _check_table_budget(p, 2)  # the g table and the residue prime's
         self.p = p
         self.g = g
         # for odd p, the odd q ≡ 1 (mod p) are exactly the q ≡ 1 (mod 2p)
@@ -237,6 +256,7 @@ class PrimePeriods:
 
     def _add_prime(self) -> None:
         p = self.p
+        _check_table_budget(p, len(self._primes) + 2)
         q = next(self._candidates)
         # element of order p in GF(q)*: use z^((q-1)/p) for the first z where it is != 1
         m = (q - 1) // p

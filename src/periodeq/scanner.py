@@ -1,10 +1,12 @@
 """Surveys over (e, f) space: full classification scans, monogenic censuses,
 doublet detection, and the cubic growth curve.
 
-A work unit is one prime p: every (e, f) pair of that p is handled from
-one shared PrimePeriods.  Results are merged back into the tasks' order
-whatever the worker count, so any two runs of the same spec produce
-byte-identical serialized output.
+scan_tasks lists a spec's pairs e-major, the order of every report.  A
+work unit is one prime p: every (e, f) pair of that p is handled from one
+shared PrimePeriods, which is dropped before the next p's is built, so a
+survey holds the task list, the results and, per worker, one prime's tables.
+Results are merged back into the tasks' order whatever the worker count, so
+any two runs of the same spec produce byte-identical serialized output.
 
 scan classifies every pair exactly and keeps every record; no remainder
 sequence runs, since classify takes D in closed form or from the Galois
@@ -24,7 +26,6 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
 from .number_theory import (
@@ -87,19 +88,15 @@ class ScanReport:
     counterexamples: tuple[ClassificationRecord, ...]
 
 
-def iter_scan_tasks(spec: ScanSpec) -> Iterator[tuple[int, int]]:
-    """(e, f) with e in range and p = e*f + 1 prime, p <= p_bound, in scan
-    order and lazily, so a caller that stops early pays only for what it read."""
-    for e in range(spec.e_min, spec.e_max + 1):
-        for f in range(1, (spec.p_bound - 1) // e + 1):
-            p = e * f + 1
-            if p >= 3 and is_prime(p):
-                yield e, f
-
-
 def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
-    """All (e, f) with e in range and p = e*f + 1 prime, p <= p_bound."""
-    return list(iter_scan_tasks(spec))
+    """All (e, f) with e in range and p = e*f + 1 prime, p <= p_bound, in
+    scan order: e ascending, then f."""
+    return [
+        (e, f)
+        for e in range(spec.e_min, spec.e_max + 1)
+        for f in range(1, (spec.p_bound - 1) // e + 1)
+        if (p := e * f + 1) >= 3 and is_prime(p)
+    ]
 
 
 def _per_pair(step, tasks: list[tuple[int, int]]) -> list:

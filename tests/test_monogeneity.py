@@ -26,7 +26,6 @@ from periodeq.monogeneity import (
     _index_from_norms,
     _match_kind,
     classify,
-    discriminant_residue,
     field_discriminant,
     index_certificate,
     index_squared,
@@ -396,12 +395,10 @@ def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
             shared[ctx.p] = PrimePeriods(ctx.p, ctx.g)
         periods = shared[ctx.p]
         rec = classify(ctx, periods)
-        q = periods.residue_prime
-        assert discriminant_residue(periods, ctx.e) == rec.poly_discriminant % q, (ctx.e, ctx.f)
         cert = index_certificate(periods, ctx.e)
         # never a certificate for k = 1, and a fallback only for k = 1
         assert (cert is None) == (rec.k == 1), (ctx.e, ctx.f, rec.k)
-        assert cert in (None, q)
+        assert cert in (None, periods.residue_prime)
         certified += cert is not None
     assert len(contexts) == 514 and certified > 0
 

@@ -338,6 +338,29 @@ def test_prime_periods_validation():
             periods.polynomial(e)
 
 
+def test_table_budget_refuses_the_table_that_would_cross_it(monkeypatch):
+    import periodeq.periods as periods_mod
+
+    # three tables of p - 1 = 66 entries fit: the g table and two CRT tables
+    monkeypatch.setattr(periods_mod, "MAX_TABLE_ENTRIES", 3 * 66)
+    periods = PrimePeriods(67, primitive_root(67))
+    periods._add_prime()
+    # psi_66 = Phi_67, whose middle coefficient C(66, 33) > 2^62, takes a third
+    with pytest.raises(InvalidContext, match="4 tables of 66 entries, over the table budget"):
+        periods.polynomial(66)
+    assert len(periods._ys) == 2
+    # a larger p is refused before its g table is built
+    with pytest.raises(InvalidContext, match="2 tables of 100 entries"):
+        PrimePeriods(101, primitive_root(101))
+
+
+def test_table_budget_holds_the_largest_pair_up_to_p_100000():
+    # e = 250, p = 99251 takes the most table entries of e <= 250, p <= 10^5
+    periods = PrimePeriods(99251, primitive_root(99251))
+    periods.norms(250)
+    assert len(periods._primes) == 42  # with the g table, 43 * 99250 = 4267750 entries
+
+
 def test_period_residues_are_the_roots_of_psi_mod_q():
     for p in (13, 61, 359):
         periods = PrimePeriods(p, primitive_root(p))

@@ -19,6 +19,7 @@ from periodeq.scanner import (
     ScanFailure,
     ScanMode,
     ScanSpec,
+    _monogenic_records,
     cubic_growth,
     doublet_survey,
     fast_doublet_candidates,
@@ -125,8 +126,16 @@ def test_missing_e_small():
 def test_census_over_the_extended_interval_p2000():
     # the paper's e <= 250 with primes up to 2000: e is missing exactly when
     # neither e + 1 nor 2e + 1 is prime, as at p <= 503 (acceptance 12)
+    spec = ScanSpec(4, 250, 2000)
+    report = summarize(spec, _monogenic_records(scan_tasks(spec), 1))
     want = tuple(e for e in range(4, 251) if not (is_prime(e + 1) or is_prime(2 * e + 1)))
-    assert missing_e_census(250, 2000) == want
+    assert report.missing_e == want
+    # Gras (J. Number Theory 23, 1986, 347-353): a cyclic field of prime degree
+    # l >= 5 is monogenic only as the maximal real subfield of Q(zeta_(2l+1)),
+    # so a monogenic psi_e of prime e has f = 2, independently of the census rule
+    prime_e = [(rec.e, rec.f) for rec in report.records if is_prime(rec.e)]
+    assert all(f == 2 for _, f in prime_e), prime_e
+    assert [e for e, _ in prime_e] == [l for l in range(5, 251) if is_prime(l) and is_prime(2 * l + 1)]
 
 
 def test_surveys_factor_each_p_minus_1_once(monkeypatch):
