@@ -1,7 +1,8 @@
 """Command-line interface and the CSV/JSON wire formats.
 
-Exit codes: 0 success, 2 invalid input, 3 verification mismatch,
-4 internal arithmetic contradiction (a bug, not a property of the input).
+Exit codes: 0 success, 2 invalid input (an --output that cannot be written
+too), 3 verification mismatch, 4 internal arithmetic contradiction (a bug,
+not a property of the input).
 
 A record's wire fields are named once, by record_to_json_dict in
 CSV_HEADER order, and read back only by record_from_json_dict; CSV respells
@@ -9,8 +10,10 @@ monogenic as true/false and packs the coefficient vector, highest degree
 first, into one space-separated quoted field.  Integers that can exceed 64
 bits (k, k^2, coefficients) are decimal strings in JSON.  CSV round-trips
 byte for byte through parse_csv_records, and each record of a JSON report
-through record_from_json_dict; a malformed or self-contradictory record
-raises ValueError.  Nothing reads a JSON report as a whole.
+through record_from_json_dict, which checks the rules on the primary fields,
+builds the record from (e, f, k) with ClassificationRecord.from_index and
+compares the five derived fields with it; a malformed or self-contradictory
+record raises ValueError.  Nothing reads a JSON report as a whole.
 """
 
 from __future__ import annotations
@@ -21,26 +24,9 @@ import io
 import json
 import sys
 
-from .intpoly import (
-    IntPoly,
-    Signature,
-    cyclotomic_prime,
-    demoivre_reduce,
-    demoivre_unfold,
-)
-from .monogeneity import (
-    ClassificationRecord,
-    FieldDiscriminant,
-    MatchKind,
-    classify,
-    field_discriminant,
-)
-from .number_theory import (
-    InternalContradiction,
-    is_prime,
-    is_primitive_root,
-    make_context,
-)
+from .intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, demoivre_unfold
+from .monogeneity import ClassificationRecord, MatchKind, classify
+from .number_theory import InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
 from .periods import period_polynomial_exact, period_polynomial_modular
 from .reference_table import TABLE_ROWS, ReferenceRow
 from .scanner import (
@@ -88,49 +74,46 @@ def _wire_int(name: str, v) -> int:
     raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def _record_rules(n: dict, coeffs: list[int], monogenic: bool):
-    """(holds, rule) for each rule a record keeps, lazily: each rule may
-    assume the ones before it."""
-    e, f, p, g, k, n_real = (n[name] for name in ("e", "f", "p", "g", "k", "n_real"))
+def _record_rules(n: dict, coeffs: list[int]):
+    """(holds, rule) for each rule on a record's primary fields, lazily: each
+    rule may assume the ones before it."""
+    e, f, p, g, k = (n[name] for name in ("e", "f", "p", "g", "k"))
     yield p == e * f + 1, "p = e*f + 1"
     yield k >= 1, "k >= 1"
-    yield k * k == n["k_squared"], "k^2 = k_squared"
-    yield monogenic == (k == 1), "monogenic iff k = 1"
-    yield n_real == (e if f % 2 == 0 else 0), "n_real = e if f is even, else 0"
-    yield len(coeffs) == e + 1 and coeffs[0] == 1, "coeffs of degree e with leading coefficient 1"
+    yield len(coeffs) == e + 1 and coeffs[:1] == [1], "coeffs of degree e with leading coefficient 1"
     yield is_primitive_root(g, p), "g a primitive root mod the prime p"
-    yield n["delta_exponent"] == e - 1, "delta_exponent = e - 1"
-    yield n["delta_sign"] == field_discriminant(e, f, p).sign, "delta_sign of the field discriminant"
 
 
 def record_from_json_dict(d: dict) -> ClassificationRecord:
-    """Build a record from its wire fields; a malformed field, or fields that
-    contradict each other or (e, f), raise ValueError."""
+    """Build a record from its primary wire fields with
+    ClassificationRecord.from_index; a malformed field, primary fields that
+    contradict each other, or a derived field other than the built record's
+    raise ValueError."""
     if not isinstance(d, dict) or d.keys() != set(_FIELDS) or type(d["coeffs"]) is not list:
         raise ValueError(f"a record needs exactly the fields {CSV_HEADER}, with coeffs a list")
     if type(d["monogenic"]) is not bool:
         raise ValueError(f"monogenic must be a boolean, got {d['monogenic']!r}")
     n = {k: _wire_int(k, v) for k, v in d.items() if k not in ("monogenic", "match_kind", "coeffs")}
-    e, k, n_real = n["e"], n["k"], n["n_real"]
+    e, f = n["e"], n["f"]
     coeffs = [_wire_int("coeffs", c) for c in d["coeffs"]]
-    for holds, rule in _record_rules(n, coeffs, d["monogenic"]):
+    for holds, rule in _record_rules(n, coeffs):
         if not holds:
-            raise ValueError(f"record (e={e}, f={n['f']}) breaks {rule}")
-    delta = FieldDiscriminant(sign=n["delta_sign"], p=n["p"], exponent=n["delta_exponent"])
-    return ClassificationRecord(
-        e=e,
-        f=n["f"],
-        p=n["p"],
-        g=n["g"],
-        psi=IntPoly.from_high_to_low(coeffs),
-        poly_discriminant=n["k_squared"] * delta.value(),
-        field_discriminant=delta,
-        k_squared=n["k_squared"],
-        k=k,
-        monogenic=d["monogenic"],
-        signature=Signature(n_real=n_real, n_complex_pairs=(e - n_real) // 2),
-        match_kind=MatchKind(d["match_kind"]),
+            raise ValueError(f"record (e={e}, f={f}) breaks {rule}")
+    rec = ClassificationRecord.from_index(
+        PrimeContext(n["p"], e, f, n["g"]), IntPoly.from_high_to_low(coeffs), n["k"], MatchKind(d["match_kind"])
     )
+    n["monogenic"] = d["monogenic"]
+    built = {
+        "k_squared": rec.k_squared,
+        "monogenic": rec.monogenic,
+        "n_real": rec.signature.n_real,
+        "delta_sign": rec.field_discriminant.sign,
+        "delta_exponent": rec.field_discriminant.exponent,
+    }
+    for name, value in built.items():
+        if n[name] != value:
+            raise ValueError(f"record (e={e}, f={f}) has {name} {n[name]}, but its (e, f, k) give {value}")
+    return rec
 
 
 def record_to_csv_line(rec: ClassificationRecord) -> str:
@@ -210,8 +193,11 @@ def verify_reference_rows() -> list[tuple[ReferenceRow, bool, str]]:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

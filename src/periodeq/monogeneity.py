@@ -20,9 +20,9 @@ takes k from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
 period differences (PrimePeriods.norms, exact): N_d = p m_d with integers
 m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a product of
 the m_d and D is never multiplied out; psi(1) == prod (1 - eta_i) ties psi
-to those periods.  The signature of every psi is Gauss's rule: -1 lies in
-the subgroup of order f exactly when f is even, so the period field is
-totally real for even f and totally complex for odd f.
+to those periods.  classify and the wire reader build every record from k
+with ClassificationRecord.from_index: D = k^2 * delta, monogenic iff k == 1
+and Gauss's signature, totally real for even f and complex for odd f.
 
 k == 1 exactly when every |N_d| == p, so the first N_d mod q outside
 {p, -p}, or a sign of D mod q other than delta's, proves k != 1 for the
@@ -106,10 +106,10 @@ def _d_sign(e: int, middle: int) -> int:
     return 1 if e % 2 else (-1) ** (e // 2) * (1 if middle > 0 else -1)
 
 
-def _index_from_norms(norms: list[int], delta: FieldDiscriminant) -> tuple[int, int]:
-    """(k^2, k) with k = prod over d < e/2 of |N_d| / p, times sqrt(|N_(e/2)| / p)
-    for even e = delta.exponent + 1, from the exact norms N_d, d <= e/2; a norm
-    that contradicts D = k^2 * delta is a hard error that names it."""
+def _index_from_norms(norms: list[int], delta: FieldDiscriminant) -> int:
+    """k = prod over d < e/2 of |N_d| / p, times sqrt(|N_(e/2)| / p) for even
+    e = delta.exponent + 1, from the exact norms N_d, d <= e/2; a norm that
+    contradicts D = k^2 * delta is a hard error that names it."""
     e, p = delta.exponent + 1, delta.p
     k, middle = 1, 0
     for d, norm in enumerate(norms, 1):
@@ -126,7 +126,7 @@ def _index_from_norms(norms: list[int], delta: FieldDiscriminant) -> tuple[int, 
     if _d_sign(e, middle) != delta.sign:
         named = f" by N_{e // 2} = {middle}" if e % 2 == 0 else ""
         raise NotPerfectSquare(f"D has the sign {-delta.sign}{named}, and delta the sign {delta.sign}")
-    return k * k, k
+    return k
 
 
 def index_certificate(periods: PrimePeriods, e: int) -> int | None:
@@ -165,6 +165,28 @@ class ClassificationRecord:
     signature: Signature
     match_kind: MatchKind
 
+    @classmethod
+    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int, match_kind: MatchKind) -> ClassificationRecord:
+        """The record of psi = psi_e for ctx with index k >= 1: D = k^2 * delta,
+        monogenic iff k == 1, and Gauss's signature: -1 lies in the subgroup
+        of order f exactly when f is even, so the period field is then totally
+        real, and otherwise totally complex."""
+        delta = field_discriminant(ctx.e, ctx.f, ctx.p)
+        return cls(
+            e=ctx.e,
+            f=ctx.f,
+            p=ctx.p,
+            g=ctx.g,
+            psi=psi,
+            poly_discriminant=k * k * delta.value(),
+            field_discriminant=delta,
+            k_squared=k * k,
+            k=k,
+            monogenic=k == 1,
+            signature=Signature(ctx.e, 0) if ctx.f % 2 == 0 else Signature(0, ctx.e // 2),
+            match_kind=match_kind,
+        )
+
 
 def _halved_cyclotomic(e: int) -> tuple[int, ...]:
     """Coefficients, low degree first, of the minimal polynomial of
@@ -183,18 +205,16 @@ def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
 
 
 def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> ClassificationRecord:
-    """Full pipeline for one context: build, match, discriminate, divide.
+    """Full pipeline for one context: build, match, find the index k.
 
     periods, if given, is the shared builder of ctx.p (a scan passes one per
     p); otherwise a fresh one is made.  psi's coefficients are compared, in
     closed form and without unfolding, with those of Phi_p (f == 1) or of
-    its x + 1/x halving (f == 2).  A psi that equals its shape takes D in
-    closed form, (-1)^((p-1)/2) p^(p-2) or p^(e-1), divided by the field
-    discriminant; any other psi takes k from the Galois norms of its periods
-    (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to psi, and
-    D = k^2 * delta.  The signature follows from Gauss's rule that -1 lies in
-    the subgroup of order f exactly when f is even: the period field is then
-    totally real, and otherwise totally complex.
+    its x + 1/x halving (f == 2).  A psi that equals its shape takes k from
+    its closed-form D, (-1)^((p-1)/2) p^(p-2) or p^(e-1), divided by the
+    field discriminant; any other psi takes k from the Galois norms of its
+    periods (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to
+    psi.  ClassificationRecord.from_index derives the rest from k.
     """
     if periods is None:
         periods = PrimePeriods(ctx.p, ctx.g)
@@ -205,9 +225,9 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     match = _match_kind(ctx, psi)
     delta = field_discriminant(e, f, p)
     if match is MatchKind.DIRECT_CYCLOTOMIC:
-        k2, k = index_squared((-1) ** ((p - 1) // 2) * p ** (p - 2), delta)
+        _, k = index_squared((-1) ** ((p - 1) // 2) * p ** (p - 2), delta)
     elif match is MatchKind.REDUCED_CYCLOTOMIC:
-        k2, k = index_squared(p ** (e - 1), delta)
+        _, k = index_squared(p ** (e - 1), delta)
     else:
         norms, at_one = periods.norms(e)
         if sum(psi.coeffs) != at_one:
@@ -215,18 +235,5 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
                 f"psi(1) = {sum(psi.coeffs)} differs from the norm {at_one} of its periods "
                 f"for (e={e}, f={f})"
             )
-        k2, k = _index_from_norms(norms, delta)
-    return ClassificationRecord(
-        e=e,
-        f=f,
-        p=p,
-        g=ctx.g,
-        psi=psi,
-        poly_discriminant=k2 * delta.value(),
-        field_discriminant=delta,
-        k_squared=k2,
-        k=k,
-        monogenic=k == 1,
-        signature=Signature(e, 0) if f % 2 == 0 else Signature(0, e // 2),
-        match_kind=match,
-    )
+        k = _index_from_norms(norms, delta)
+    return ClassificationRecord.from_index(ctx, psi, k, match)

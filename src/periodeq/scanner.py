@@ -28,15 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
-from .number_theory import (
-    PRIME_TEST_BOUND,
-    InternalContradiction,
-    InvalidContext,
-    PrimeContext,
-    is_prime,
-    primitive_root,
-)
-from .periods import PrimePeriods
+from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime, primitive_root
+from .periods import MAX_TABLE_ENTRIES, PrimePeriods
 
 
 class ScanMode(str, Enum):
@@ -59,7 +52,9 @@ class ScanFailure(InternalContradiction):
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Parameters of one survey: e range, prime bound, parallelism."""
+    """Parameters of one survey: e range, prime bound, parallelism.  p_bound
+    is at most MAX_TABLE_ENTRIES // 2 + 1, since PrimePeriods refuses any
+    larger p, so a spec past the table budget is refused before any work."""
 
     e_min: int
     e_max: int
@@ -69,8 +64,11 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.e_min <= self.e_max:
             raise InvalidContext(f"need 1 <= e_min <= e_max, got {self.e_min}..{self.e_max}")
-        if not 3 <= self.p_bound < PRIME_TEST_BOUND:
-            raise InvalidContext(f"p_bound {self.p_bound} is outside [3, {PRIME_TEST_BOUND})")
+        top = MAX_TABLE_ENTRIES // 2 + 1  # the largest p whose g table and one CRT table fit
+        if not 3 <= self.p_bound <= top:
+            raise InvalidContext(
+                f"p_bound {self.p_bound} is outside [3, {top}], set by the table budget MAX_TABLE_ENTRIES"
+            )
         if self.e_max >= self.p_bound:
             # p = e*f + 1 <= p_bound forces e < p_bound: larger e have no pairs
             raise InvalidContext(f"need e_max < p_bound, got e_max={self.e_max}, p_bound={self.p_bound}")

@@ -329,6 +329,16 @@ def test_unknown_match_kind_is_rejected(value):
             parse_csv_records(csv_row(match_kind=value))
 
 
+# the derived wire field in which each rule on (e, f, k) shows
+DERIVED_FIELD = {
+    "k\\^2 = k_squared": "k_squared",
+    "monogenic iff k = 1": "monogenic",
+    "n_real = e if f is even, else 0": "n_real",
+    "delta_exponent = e - 1": "delta_exponent",
+    "delta_sign of the field discriminant": "delta_sign",
+}
+
+
 @pytest.mark.parametrize(
     "changes, rule",
     [
@@ -354,21 +364,38 @@ def test_unknown_match_kind_is_rejected(value):
     ],
 )
 def test_self_contradictory_record_is_rejected(changes, rule):
-    # classify(4, 1) is monogenic: p = 5, k = 1, n_real = 0
-    with pytest.raises(ValueError, match=f"\\(e=4, f=1\\) breaks {rule}"):
+    # classify(4, 1) is monogenic: p = 5, k = 1, n_real = 0; a rule on the
+    # primary fields is named as it is broken, the others by the derived
+    # field, with its wire value, that differs from the record of (e, f, k)
+    field = DERIVED_FIELD.get(rule)
+    if field:
+        reason = f"has {field} {json_record(**changes)[field]}, but its \\(e, f, k\\) give "
+    else:
+        reason = f"breaks {rule}"
+    with pytest.raises(ValueError, match=f"\\(e=4, f=1\\) {reason}"):
         record_from_json_dict(json_record(**changes))
+
+
+def test_record_of_negative_degree_breaks_the_coeffs_rule():
+    # p = (-1)(-4) + 1 = 5, and e = -1 asks for no coefficients, so none leads
+    with pytest.raises(ValueError, match="\\(e=-1, f=-4\\) breaks coeffs of degree e with leading coefficient 1"):
+        record_from_json_dict(json_record(e=-1, f=-4, n_real=-1, coeffs=[]))
 
 
 def test_report_with_self_contradictory_record_is_rejected():
     obj = json.loads(report_to_json(scan(ScanSpec(4, 4, 17))))
     rec = next(r for r in obj["records"] if r["f"] == 4)
     assert (rec["k"], rec["monogenic"]) == ("2", False)
-    with pytest.raises(ValueError, match="breaks monogenic iff k = 1"):
+    # monogenic is compared before n_real, so it is the field named
+    with pytest.raises(ValueError, match="has monogenic True, but its \\(e, f, k\\) give False"):
         record_from_json_dict(dict(rec, monogenic=True, n_real=7))
     # (4, 4) is totally real (n_real 4): 2 and 0 keep the parity of e yet break Gauss's rule
     for n_real in (7, 2, 0):
-        with pytest.raises(ValueError, match="\\(e=4, f=4\\) breaks n_real = e if f is even, else 0"):
+        with pytest.raises(ValueError, match=f"\\(e=4, f=4\\) has n_real {n_real}, but its \\(e, f, k\\) give 4"):
             record_from_json_dict(dict(rec, n_real=n_real))
+    # both values of a k_squared that differs from k^2 = 4
+    with pytest.raises(ValueError, match="\\(e=4, f=4\\) has k_squared 9, but its \\(e, f, k\\) give 4"):
+        record_from_json_dict(dict(rec, k_squared="9"))
 
 
 @pytest.mark.parametrize(
@@ -423,6 +450,31 @@ def test_scan_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert parse_csv_records(target.read_text())
+
+
+def test_scan_to_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, ["scan", "--e-range", "4:4", "--p-bound", "20", "--output", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--e-range", "4:4", "--p-bound", str(10**15)],
+        ["cubic-growth", "--p-bound", str(10**15)],
+        ["doublets", "--mode", "fast", "--e-max", str(10**12)],
+        ["doublets", "--mode", "full", "--e-max", str(10**12)],
+    ],
+)
+def test_survey_past_the_table_budget_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "table budget MAX_TABLE_ENTRIES" in err
 
 
 def test_scan_text_summary(capsys):

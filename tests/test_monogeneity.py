@@ -301,14 +301,14 @@ def test_zero_norm_raises_not_divisible(monkeypatch):
 def test_index_from_norms_on_hand_made_lists():
     # e = 6, p = 13: m_d = 2, 3, 4, so k = 2 * 3 * sqrt(4); D has the sign
     # (-1)^3 sgn N_3, so delta > 0 asks for N_3 < 0
-    assert _index_from_norms([26, -39, -52], FieldDiscriminant(1, 13, 5)) == (144, 12)
-    assert _index_from_norms([26, -39, 52], FieldDiscriminant(-1, 13, 5)) == (144, 12)
+    assert _index_from_norms([26, -39, -52], FieldDiscriminant(1, 13, 5)) == 12
+    assert _index_from_norms([26, -39, 52], FieldDiscriminant(-1, 13, 5)) == 12
     # odd e has no middle norm, and D > 0 whatever the signs
-    assert _index_from_norms([-33, 22], FieldDiscriminant(1, 11, 4)) == (36, 6)
+    assert _index_from_norms([-33, 22], FieldDiscriminant(1, 11, 4)) == 6
     # e = 1 has no norms at all
-    assert _index_from_norms([], FieldDiscriminant(1, 3, 0)) == (1, 1)
+    assert _index_from_norms([], FieldDiscriminant(1, 3, 0)) == 1
     # e = 2: the one norm is the middle one, and D = -N_1 = 45
-    assert _index_from_norms([-45], FieldDiscriminant(1, 5, 1)) == (9, 3)
+    assert _index_from_norms([-45], FieldDiscriminant(1, 5, 1)) == 3
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchK
 import periodeq
 from periodeq.cli import records_to_csv
 from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
+from periodeq.periods import MAX_TABLE_ENTRIES
 from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
@@ -44,6 +45,11 @@ def test_scan_spec_validation():
         ScanSpec(4, 6, 100, worker_count=0)
     with pytest.raises(InvalidContext):
         ScanSpec(4, 100, 100)  # no e >= p_bound has a pair
+    # the largest p whose g table and one CRT table fit the table budget
+    top = MAX_TABLE_ENTRIES // 2 + 1
+    assert ScanSpec(4, 6, top).p_bound == top
+    with pytest.raises(InvalidContext, match="table budget MAX_TABLE_ENTRIES"):
+        ScanSpec(4, 6, top + 1)
 
 
 def test_scan_tasks_enumeration():
