@@ -24,9 +24,9 @@ import io
 import json
 import sys
 
-from .intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, demoivre_unfold
-from .monogeneity import ClassificationRecord, MatchKind, classify
-from .number_theory import InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
+from .intpoly import IntPoly, cyclotomic_prime, demoivre_unfold, halved_cyclotomic_prime
+from .monogeneity import ClassificationRecord, MatchKind, classify, field_discriminant
+from .number_theory import MAX_P, InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
 from .periods import period_polynomial_exact, period_polynomial_modular
 from .reference_table import TABLE_ROWS, ReferenceRow
 from .scanner import (
@@ -41,6 +41,9 @@ from .scanner import (
 
 CSV_HEADER = "e,f,p,g,n_real,delta_sign,delta_exponent,k_squared,k,monogenic,match_kind,coeffs"
 _FIELDS = CSV_HEADER.split(",")
+# The largest p whose halving prints within CPython's default 4300-digit
+# int-to-str limit: 4299 digits at most, where the next prime, 41177, has 4301.
+REDUCE_MAX_P = 41161
 
 
 # -- record serialization ----------------------------------------------
@@ -81,6 +84,7 @@ def _record_rules(n: dict, coeffs: list[int]):
     yield p == e * f + 1, "p = e*f + 1"
     yield k >= 1, "k >= 1"
     yield len(coeffs) == e + 1 and coeffs[:1] == [1], "coeffs of degree e with leading coefficient 1"
+    yield p <= MAX_P, f"p <= MAX_P = {MAX_P}"
     yield is_primitive_root(g, p), "g a primitive root mod the prime p"
 
 
@@ -99,9 +103,9 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
     for holds, rule in _record_rules(n, coeffs):
         if not holds:
             raise ValueError(f"record (e={e}, f={f}) breaks {rule}")
-    rec = ClassificationRecord.from_index(
-        PrimeContext(n["p"], e, f, n["g"]), IntPoly.from_high_to_low(coeffs), n["k"], MatchKind(d["match_kind"])
-    )
+    ctx, psi = PrimeContext(n["p"], e, f, n["g"]), IntPoly.from_high_to_low(coeffs)
+    delta = field_discriminant(e, f, ctx.p)
+    rec = ClassificationRecord.from_index(ctx, psi, n["k"], MatchKind(d["match_kind"]), delta)
     n["monogenic"] = d["monogenic"]
     built = {
         "k_squared": rec.k_squared,
@@ -191,10 +195,10 @@ def verify_reference_rows() -> list[tuple[ReferenceRow, bool, str]]:
 # -- subcommands --------------------------------------------------------
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None, mode: str = "w") -> None:
     if path:
         try:
-            with open(path, "w") as fh:
+            with open(path, mode) as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --output {path}: {exc.strerror}") from exc
@@ -252,7 +256,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    print(demoivre_reduce(cyclotomic_prime(args.p)).to_str())
+    if args.p > REDUCE_MAX_P:
+        raise ValueError(f"p = {args.p} is above REDUCE_MAX_P = {REDUCE_MAX_P}, past the int-to-str limit")
+    print(halved_cyclotomic_prime(args.p).to_str())
     return 0
 
 
@@ -282,6 +288,8 @@ def cmd_scan(args) -> int:
         p_bound=args.p_bound,
         worker_count=args.workers,
     )
+    # appending nothing refuses an unwritable path before the work and truncates no file
+    _emit("", args.output, "a")
     report = scan(spec)
     if args.format == "csv":
         _emit(records_to_csv(report.records), args.output)

@@ -109,6 +109,25 @@ def cyclotomic_prime(p: int) -> IntPoly:
     return IntPoly((1,) * p)
 
 
+def halved_cyclotomic_prime(p: int) -> IntPoly:
+    """demoivre_reduce(cyclotomic_prime(p)) in closed form for prime p >= 3:
+    the minimal polynomial of 2cos(2 pi/p), whose coefficient of x^(e-j),
+    e = (p - 1)/2, is (-1)^floor(j/2) C(e - ceil(j/2), floor(j/2)).  Each
+    binomial is the one before times an exact ratio: (e - 2i)/(e - i) from
+    C(e - i, i) to C(e - i - 1, i), then (e - 2i - 1)/(i + 1) to C(e - i - 1, i + 1).
+    """
+    if not is_prime(p):
+        raise CompositeP(f"{p} is not prime")
+    if p == 2:
+        raise OddDegree("degree 1 is odd")  # Phi_2 = x + 1
+    e = p // 2
+    c, high = 1, [1]
+    for j in range(e):
+        c = c * (e - j) // ((j + 1) // 2 if j % 2 else e - j // 2)
+        high.append(-c if (j + 1) & 2 else c)
+    return IntPoly.from_high_to_low(high)
+
+
 # -- pseudo-division kernel -------------------------------------------
 
 

@@ -10,12 +10,13 @@ delta and an integer index k >= 1; the period polynomial is monogenic
 classify first compares psi's coefficients with the two cyclotomic shapes
 in closed form: Phi_p = 1 + x + ... + x^(p-1) when f == 1, and when f == 2
 the halving R of Phi_p under x + 1/x, the minimal polynomial of
-2cos(2 pi/p), whose coefficient of x^(e-j) is
-(-1)^floor(j/2) C(e - ceil(j/2), floor(j/2)).  That is O(e) per pair, and
-since x^e R(x + 1/x) = Phi_p determines R, it decides the same as unfolding
-psi and comparing with Phi_p.  A match fixes D in closed form, with no
-remainder sequence: disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e
-roots 2cos(2 pi j/p) are all real, has disc(R) = p^(e-1).  Every other psi
+2cos(2 pi/p), in closed form (intpoly.halved_cyclotomic_prime).  That is
+O(e) per pair, and since x^e R(x + 1/x) = Phi_p determines R, it decides
+the same as unfolding psi and comparing with Phi_p.  A match has k = 1 by
+theorem, as Z[zeta_p] and Z[zeta_p + zeta_p^-1] are the rings of integers,
+so D = delta, with no remainder sequence and no division:
+disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e roots 2cos(2 pi j/p)
+are all real, has disc(R) = p^(e-1).  Every other psi
 takes k from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
 period differences (PrimePeriods.norms, exact): N_d = p m_d with integers
 m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a product of
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import IntPoly, Signature
+from .intpoly import IntPoly, Signature, halved_cyclotomic_prime
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
 from .periods import PrimePeriods, galois_norms
 
@@ -166,12 +167,12 @@ class ClassificationRecord:
     match_kind: MatchKind
 
     @classmethod
-    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int, match_kind: MatchKind) -> ClassificationRecord:
-        """The record of psi = psi_e for ctx with index k >= 1: D = k^2 * delta,
+    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int, match_kind: MatchKind, delta: FieldDiscriminant):
+        """The record of psi = psi_e for ctx with index k >= 1 and
+        delta = field_discriminant(ctx.e, ctx.f, ctx.p): D = k^2 * delta,
         monogenic iff k == 1, and Gauss's signature: -1 lies in the subgroup
         of order f exactly when f is even, so the period field is then totally
         real, and otherwise totally complex."""
-        delta = field_discriminant(ctx.e, ctx.f, ctx.p)
         return cls(
             e=ctx.e,
             f=ctx.f,
@@ -188,18 +189,11 @@ class ClassificationRecord:
         )
 
 
-def _halved_cyclotomic(e: int) -> tuple[int, ...]:
-    """Coefficients, low degree first, of the minimal polynomial of
-    2cos(2 pi/p) for p = 2e + 1, demoivre_reduce(cyclotomic_prime(p)):
-    the coefficient of x^(e-j) is (-1)^floor(j/2) C(e - ceil(j/2), floor(j/2))."""
-    return tuple((-1) ** (j // 2) * math.comb(e - (j + 1) // 2, j // 2) for j in range(e, -1, -1))
-
-
 def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
     """The cyclotomic shape psi equals exactly, or NO_MATCH."""
     if ctx.f == 1 and psi.coeffs == (1,) * ctx.p:
         return MatchKind.DIRECT_CYCLOTOMIC
-    if ctx.f == 2 and psi.coeffs == _halved_cyclotomic(ctx.e):
+    if ctx.f == 2 and psi == halved_cyclotomic_prime(ctx.p):
         return MatchKind.REDUCED_CYCLOTOMIC
     return MatchKind.NO_MATCH
 
@@ -210,11 +204,11 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     periods, if given, is the shared builder of ctx.p (a scan passes one per
     p); otherwise a fresh one is made.  psi's coefficients are compared, in
     closed form and without unfolding, with those of Phi_p (f == 1) or of
-    its x + 1/x halving (f == 2).  A psi that equals its shape takes k from
-    its closed-form D, (-1)^((p-1)/2) p^(p-2) or p^(e-1), divided by the
-    field discriminant; any other psi takes k from the Galois norms of its
-    periods (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to
-    psi.  ClassificationRecord.from_index derives the rest from k.
+    its x + 1/x halving (f == 2).  A psi that equals its shape has k = 1
+    (Washington, Introduction to Cyclotomic Fields, Thm 2.6 and Prop 2.16);
+    any other takes k from the Galois norms of its periods
+    (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to psi.
+    ClassificationRecord.from_index derives the rest from k and delta.
     """
     if periods is None:
         periods = PrimePeriods(ctx.p, ctx.g)
@@ -224,11 +218,8 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     psi = periods.polynomial(e).poly
     match = _match_kind(ctx, psi)
     delta = field_discriminant(e, f, p)
-    if match is MatchKind.DIRECT_CYCLOTOMIC:
-        _, k = index_squared((-1) ** ((p - 1) // 2) * p ** (p - 2), delta)
-    elif match is MatchKind.REDUCED_CYCLOTOMIC:
-        _, k = index_squared(p ** (e - 1), delta)
-    else:
+    k = 1
+    if match is MatchKind.NO_MATCH:
         norms, at_one = periods.norms(e)
         if sum(psi.coeffs) != at_one:
             raise InternalContradiction(
@@ -236,4 +227,4 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
                 f"for (e={e}, f={f})"
             )
         k = _index_from_norms(norms, delta)
-    return ClassificationRecord.from_index(ctx, psi, k, match)
+    return ClassificationRecord.from_index(ctx, psi, k, match, delta)

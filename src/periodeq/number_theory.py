@@ -1,10 +1,15 @@
 """Primality, factorization, and primitive roots for period-equation contexts.
 
-Everything here is deterministic.  Primality uses the fixed Miller-Rabin
+Everything here is deterministic.  Every entry point of the package takes
+primes p <= MAX_P = MAX_TABLE_ENTRIES // 2 + 1 = 2250001, the largest p
+whose table of g^t mod p and one CRT table fit the table budget; a larger p
+is refused with InvalidContext.  Primality uses the fixed Miller-Rabin
 witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
 particular for the full 64-bit range); larger n are refused, not guessed.
-Factorization is wheel trial division up to TRIAL_LIMIT, then Pollard-Brent
-on a cofactor below PRIME_TEST_BOUND, and primitive_root is the smallest one.
+factorize is wheel trial division to TRIAL_LIMIT = 2^16 alone, so it
+settles every n < 2^32, every p - 1 of the range among them; a cofactor
+that trial division leaves is kept only if is_prime proves it prime, and
+any other is refused.  primitive_root is the smallest one.
 The CRT primes of the modular period build are q ≡ 1 (mod modulus) just
 above CRT_PRIME_FLOOR = 2^29: below 2^30 each one is a single CPython digit,
 so arithmetic mod q stays in one-digit ints.
@@ -12,7 +17,6 @@ so arithmetic mod q stays in one-digit ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -72,55 +76,23 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # Trial division stops past this divisor, so every n < TRIAL_LIMIT**2 is
 # factored by trial alone.
 TRIAL_LIMIT = 1 << 16
-# Pollard-Brent takes gcds over batches of this many steps.
-_BRENT_BATCH = 128
 
-
-def _pollard_brent(n: int) -> int:
-    """A proper divisor of the composite n: Brent's cycle search on
-    x -> x^2 + c mod n from x = 2, for c = 1, 2, ... until a gcd is neither
-    1 nor n."""
-    for c in range(1, n):
-        y, r, acc, d = 2, 1, 1, 1
-        while d == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and d == 1:
-                saved = y
-                for _ in range(min(_BRENT_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * (x - y) % n
-                d = math.gcd(acc, n)
-                k += _BRENT_BATCH
-            r *= 2
-        if d == n:
-            # the batch's product hit 0 mod n: redo its steps one gcd at a time
-            d = 1
-            while d == 1:
-                saved = (saved * saved + c) % n
-                d = math.gcd(x - saved, n)
-        if d != n:
-            return d
-    raise InternalContradiction(f"Pollard-Brent found no divisor of {n}")
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The prime factors of 1 < n < PRIME_TEST_BOUND, with multiplicity,
-    for n with no prime factor below TRIAL_LIMIT."""
-    if is_prime(n):
-        return [n]
-    d = _pollard_brent(n)
-    return _prime_factors(d) + _prime_factors(n // d)
+# The most table entries a PrimePeriods may hold: its table of g^t mod p and
+# one table per CRT prime, p - 1 entries each.  The largest pair of e <= 250,
+# p <= 10**5 is e = 250, p = 99251, whose norms take 42 primes: 4267750.
+MAX_TABLE_ENTRIES = 4_500_000
+# The largest p of every entry point: its g table and one CRT table fit
+# MAX_TABLE_ENTRIES, and p - 1 < TRIAL_LIMIT**2 is factored by trial alone.
+MAX_P = MAX_TABLE_ENTRIES // 2 + 1
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, in ascending order.
 
-    Wheel trial division finds the factors up to TRIAL_LIMIT; a cofactor left
-    below PRIME_TEST_BOUND is split by Pollard-Brent and its pieces proven
-    prime by is_prime, and one at or above the bound raises ValueError.
+    Wheel trial division to TRIAL_LIMIT, and nothing else: it settles every
+    n < TRIAL_LIMIT**2 = 2^32.  A larger cofactor that it leaves is kept if
+    is_prime proves it prime; any other n raises ValueError, as does is_prime
+    for a cofactor at or above PRIME_TEST_BOUND.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
@@ -142,33 +114,35 @@ def factorize(n: int) -> dict[int, int]:
             out[d] = k
         d += _WHEEL[i]
         i = (i + 1) & 7
-    if d * d > n:
-        if n > 1:
-            out[n] = 1
-    else:
-        # is_prime refuses a cofactor at or above PRIME_TEST_BOUND
-        for q in sorted(_prime_factors(n)):
-            out[q] = out.get(q, 0) + 1
+    if n > 1:
+        if d * d <= n and not is_prime(n):
+            raise ValueError(f"{n} has no prime factor up to TRIAL_LIMIT = {TRIAL_LIMIT} and is not prime")
+        out[n] = 1
     return out
 
 
 @lru_cache(maxsize=None)
 def _order_primes(p: int) -> tuple[int, ...] | None:
-    """The primes dividing p - 1 if p is an odd prime below PRIME_TEST_BOUND,
-    else None: the one proof of p that every primitive-root test reads."""
-    return tuple(factorize(p - 1)) if 3 <= p < PRIME_TEST_BOUND and is_prime(p) else None
+    """The primes dividing p - 1 if p is an odd prime <= MAX_P, else None:
+    the one proof of p that every primitive-root test reads."""
+    return tuple(factorize(p - 1)) if 3 <= p <= MAX_P and is_prime(p) else None
 
 
 def is_primitive_root(g: int, p: int) -> bool:
-    """Whether p is an odd prime below PRIME_TEST_BOUND and 0 < g < p has order p - 1."""
+    """Whether p is an odd prime <= MAX_P and 0 < g < p has order p - 1."""
     primes = _order_primes(p) if 0 < g < p else None
     return primes is not None and all(pow(g, (p - 1) // q, p) != 1 for q in primes)
 
 
 def primitive_root(p: int) -> int:
-    """Smallest positive primitive root modulo the prime p >= 3."""
+    """Smallest positive primitive root modulo the prime 3 <= p <= MAX_P."""
     if _order_primes(p) is None:
-        if is_prime(p):  # raises ValueError at or above PRIME_TEST_BOUND
+        if p > MAX_P:
+            raise InvalidContext(
+                f"p = {p} is above MAX_P = {MAX_P}, the largest p within the table budget "
+                f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+            )
+        if is_prime(p):
             raise InvalidContext("need p >= 3 for a primitive root")
         raise CompositeP(f"{p} is not prime")
     return next(g for g in range(2, p) if is_primitive_root(g, p))
@@ -191,14 +165,11 @@ class PrimeContext:
 
 
 def make_context(e: int, f: int) -> PrimeContext:
-    """Build the context for (e, f); raises CompositeP if e*f + 1 is not prime."""
+    """Build the context for (e, f); primitive_root raises CompositeP if
+    e*f + 1 is not prime, and InvalidContext if it is 2 or above MAX_P."""
     if e < 1 or f < 1:
         raise InvalidContext(f"need e >= 1 and f >= 1, got e={e}, f={f}")
     p = e * f + 1
-    if p < 3:
-        raise InvalidContext(f"p = {p} is too small")
-    if p >= PRIME_TEST_BOUND:
-        raise InvalidContext(f"p = {p} is beyond the proven primality range (< {PRIME_TEST_BOUND})")
     return PrimeContext(p=p, e=e, f=f, g=primitive_root(p))
 
 

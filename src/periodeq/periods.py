@@ -39,7 +39,7 @@ from typing import Iterator
 
 from .intpoly import IntPoly
 from .number_theory import (
-    PRIME_TEST_BOUND,
+    MAX_TABLE_ENTRIES,
     InternalContradiction,
     InvalidContext,
     PrimeContext,
@@ -50,12 +50,6 @@ from .number_theory import (
 
 class NonIntegerCoefficient(InternalContradiction):
     """Raised if a coefficient that must be a rational integer is not one."""
-
-
-# The most table entries a PrimePeriods may hold: its table of g^t mod p and
-# one table per CRT prime, p - 1 entries each.  The largest pair of e <= 250,
-# p <= 10**5 is e = 250, p = 99251, whose norms take 42 primes: 4267750.
-MAX_TABLE_ENTRIES = 4_500_000
 
 
 def _check_table_budget(p: int, tables: int) -> None:
@@ -231,14 +225,15 @@ class PrimePeriods:
     sum_i |eta_i - eta_(i+d)|^2 = 2p (module docstring), not on the worst
     case |eta_i| <= f, which asks for about twice the bits.  A table that
     would take the entries past MAX_TABLE_ENTRIES is refused, with
-    InvalidContext, before it is built.
+    InvalidContext, before it is built; so is every p > MAX_P, before g is
+    tested.
     """
 
     def __init__(self, p: int, g: int):
+        _check_table_budget(p, 2)  # the g table and the residue prime's
         # p an odd prime and g of order p - 1, else the classes ys[i::e] are not the periods
         if not is_primitive_root(g, p):
-            raise InvalidContext(f"g = {g} is not a primitive root mod an odd prime p = {p} < {PRIME_TEST_BOUND}")
-        _check_table_budget(p, 2)  # the g table and the residue prime's
+            raise InvalidContext(f"g = {g} is not a primitive root mod an odd prime p = {p}")
         self.p = p
         self.g = g
         # for odd p, the odd q ≡ 1 (mod p) are exactly the q ≡ 1 (mod 2p)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
-from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime, primitive_root
-from .periods import MAX_TABLE_ENTRIES, PrimePeriods
+from .number_theory import MAX_P, InternalContradiction, InvalidContext, PrimeContext, is_prime, primitive_root
+from .periods import PrimePeriods
 
 
 class ScanMode(str, Enum):
@@ -53,8 +53,8 @@ class ScanFailure(InternalContradiction):
 @dataclass(frozen=True)
 class ScanSpec:
     """Parameters of one survey: e range, prime bound, parallelism.  p_bound
-    is at most MAX_TABLE_ENTRIES // 2 + 1, since PrimePeriods refuses any
-    larger p, so a spec past the table budget is refused before any work."""
+    is at most MAX_P, since PrimePeriods refuses any larger p, so a spec past
+    the table budget is refused before any work."""
 
     e_min: int
     e_max: int
@@ -64,10 +64,10 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.e_min <= self.e_max:
             raise InvalidContext(f"need 1 <= e_min <= e_max, got {self.e_min}..{self.e_max}")
-        top = MAX_TABLE_ENTRIES // 2 + 1  # the largest p whose g table and one CRT table fit
-        if not 3 <= self.p_bound <= top:
+        if not 3 <= self.p_bound <= MAX_P:
             raise InvalidContext(
-                f"p_bound {self.p_bound} is outside [3, {top}], set by the table budget MAX_TABLE_ENTRIES"
+                f"p_bound {self.p_bound} is outside [3, MAX_P = {MAX_P}], "
+                "set by the table budget MAX_TABLE_ENTRIES"
             )
         if self.e_max >= self.p_bound:
             # p = e*f + 1 <= p_bound forces e < p_bound: larger e have no pairs

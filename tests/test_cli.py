@@ -20,12 +20,12 @@ from periodeq.cli import (
 from periodeq.intpoly import IntPoly, Signature
 from periodeq.monogeneity import (
     ClassificationRecord,
-    FieldDiscriminant,
     MatchKind,
     classify,
     field_discriminant,
 )
-from periodeq.number_theory import is_prime, make_context, primitive_root
+from periodeq.number_theory import MAX_P, InternalContradiction, is_prime, make_context, primitive_root
+from periodeq.periods import PrimePeriods
 from periodeq.reference_table import TABLE_ROWS, ReferenceRow
 from periodeq.scanner import ScanSpec, scan, scan_tasks, summarize
 
@@ -84,7 +84,7 @@ def test_classify_rejects_p_beyond_primality_bound(capsys):
 
     code, _, err = run(capsys, ["classify", "--e", "1", "--f", str(PRIME_TEST_BOUND - 1)])
     assert code == 2
-    assert "primality range" in err
+    assert "above MAX_P = 2250001" in err
 
 
 def test_psi_json(capsys):
@@ -150,6 +150,48 @@ def test_unfold_without_cyclotomic_match(capsys):
     assert code == 0
     assert out.strip().startswith("x^8+")
     assert "matches the cyclotomic polynomial" not in err
+
+
+# the first prime past MAX_P = 2250001 is 2250013 = 2 * 1125006 + 1
+PAST_MAX_P = ["--e", "2", "--f", "1125006"]
+
+
+def past_max_p_record(**changes):
+    """The JSON record of classify(4, 1) moved to (e, f) = (2, 1125006): every
+    rule before p <= MAX_P holds."""
+    return json_record(e=2, f=1125006, p=2250013, coeffs=["1", "1", "1"], **changes)
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        (lambda: main(["classify", *PAST_MAX_P]), "above MAX_P = 2250001"),
+        (lambda: main(["psi", *PAST_MAX_P, "--engine", "modular"]), "above MAX_P = 2250001"),
+        (lambda: main(["psi", *PAST_MAX_P, "--engine", "exact"]), "above MAX_P = 2250001"),
+        (lambda: main(["unfold", *PAST_MAX_P]), "above MAX_P = 2250001"),
+        (lambda: main(["reduce", "--p", "41177"]), "above REDUCE_MAX_P = 41161"),
+        (
+            lambda: parse_csv_records(csv_row(e="2", f="1125006", p="2250013", coeffs='"1 1 1"')),
+            "breaks p <= MAX_P = 2250001",
+        ),
+        (lambda: record_from_json_dict(past_max_p_record()), "breaks p <= MAX_P = 2250001"),
+        (lambda: PrimePeriods(2250013, 2), "over the table budget MAX_TABLE_ENTRIES"),
+        (lambda: primitive_root(2250013), "above MAX_P = 2250001"),
+    ],
+    ids=["classify", "psi-modular", "psi-exact", "unfold", "reduce", "csv", "json", "PrimePeriods", "primitive_root"],
+)
+def test_first_p_past_each_bound_is_refused_at_once(capsys, call, bound):
+    start = time.perf_counter()
+    try:
+        code = call()
+    except ValueError as exc:  # InvalidContext is a ValueError
+        message = str(exc)
+    else:
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        message = captured.err
+    assert time.perf_counter() - start < 1.0
+    assert bound in message
 
 
 # -- serialization --------------------------------------------------------
@@ -230,9 +272,9 @@ def draw_record(draw, e, f):
 @st.composite
 def records(draw):
     e = draw(st.integers(1, 12))
-    f = draw(st.integers(1, 10**6))
+    f = draw(st.integers(1, (MAX_P - 1) // e))
     while e * f + 1 < 3 or not is_prime(e * f + 1):
-        f += 1
+        f = f % ((MAX_P - 1) // e) + 1  # the next f, back to 1 past the last with p <= MAX_P
     return draw_record(draw, e, f)
 
 
@@ -407,15 +449,16 @@ def test_report_with_self_contradictory_record_is_rejected():
     ],
 )
 def test_record_with_a_large_p_is_checked_quickly(p, g):
-    # psi_2 = x^2 + x + (p + 1)/4 for p ≡ 3 (mod 4), in the shape of classify(2, 3)
+    # psi_2 = x^2 + x + (p + 1)/4 for p ≡ 3 (mod 4), in the shape of classify(2, 3);
+    # no record of the package has p above MAX_P, and the reader refuses one
+    # before it tests g, so p - 1 is never factored
     d = record_to_json_dict(classify(make_context(2, 3)))
     d.update(f=(p - 1) // 2, p=p, g=g, coeffs=["1", "1", str((p + 1) // 4)])
     start = time.perf_counter()
-    rec = record_from_json_dict(d)
-    assert (rec.p, rec.g) == (p, g)
-    with pytest.raises(ValueError, match="g a primitive root mod the prime p"):
-        record_from_json_dict(dict(d, g=4))
-    assert time.perf_counter() - start < 10.0
+    for rec in (d, dict(d, g=4)):
+        with pytest.raises(ValueError, match="\\(e=2, f=\\d+\\) breaks p <= MAX_P = 2250001"):
+            record_from_json_dict(rec)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_json_record_of_wrong_shape_is_rejected():
@@ -453,11 +496,26 @@ def test_scan_output_file(tmp_path, capsys):
 
 
 def test_scan_to_a_missing_directory_exits_2(tmp_path, capsys):
+    # the path is refused before the scan, which takes most of a second
     target = tmp_path / "missing" / "out.csv"
-    code, out, err = run(capsys, ["scan", "--e-range", "4:4", "--p-bound", "20", "--output", str(target)])
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["scan", "--e-range", "4:60", "--p-bound", "2000", "--output", str(target)])
+    assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.parent.exists()
+
+
+def test_scan_that_exits_4_leaves_an_existing_output_as_it_was(tmp_path, monkeypatch, capsys):
+    def no_norms(self, e):
+        raise InternalContradiction("norms refused")
+
+    target = tmp_path / "out.csv"
+    target.write_text("kept\n")
+    monkeypatch.setattr(PrimePeriods, "norms", no_norms)
+    code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32", "--output", str(target)])
+    assert code == 4 and "norms refused" in err
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
@@ -584,22 +642,6 @@ def test_scan_zero_norm_exits_4(monkeypatch, capsys):
     code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32"])
     assert code == 4
     assert "(e=5, f=6)" in err and "zero" in err
-
-
-def test_scan_closed_form_contradiction_exits_4(monkeypatch, capsys):
-    import periodeq.monogeneity as mono_mod
-
-    real = mono_mod.field_discriminant
-
-    def wrong_sign(e, f, p):
-        delta = real(e, f, p)
-        return FieldDiscriminant(-delta.sign, delta.p, delta.exponent)
-
-    # the closed form D = +11^4 of (5, 2) against a delta of -11^4
-    monkeypatch.setattr(mono_mod, "field_discriminant", wrong_sign)
-    code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "12"])
-    assert code == 4
-    assert "(e=5, f=2)" in err and "negative" in err
 
 
 # -- doublets / cubic growth / table --------------------------------------

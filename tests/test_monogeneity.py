@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from periodeq.intpoly import (
     demoivre_unfold,
     discriminant,
     discriminant_and_signature,
+    halved_cyclotomic_prime,
 )
 from periodeq.monogeneity import (
     ClassificationRecord,
@@ -22,7 +24,6 @@ from periodeq.monogeneity import (
     MatchKind,
     NotDivisible,
     NotPerfectSquare,
-    _halved_cyclotomic,
     _index_from_norms,
     _match_kind,
     classify,
@@ -31,6 +32,7 @@ from periodeq.monogeneity import (
     index_squared,
 )
 from periodeq.number_theory import (
+    MAX_P,
     InternalContradiction,
     InvalidContext,
     is_prime,
@@ -327,7 +329,30 @@ def test_index_from_norms_names_each_contradiction(norms, error, named):
 
 def test_closed_form_halving_is_the_reduced_cyclotomic_polynomial():
     for p in filter(is_prime, range(5, 601)):
-        assert _halved_cyclotomic((p - 1) // 2) == demoivre_reduce(cyclotomic_prime(p)).coeffs, p
+        assert halved_cyclotomic_prime(p) == demoivre_reduce(cyclotomic_prime(p)), p
+
+
+def test_matched_discriminant_is_the_field_discriminant_up_to_max_p(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+
+    # classify takes k = 1 on a match, so D = delta: for every prime
+    # p <= MAX_P, disc(Phi_p) = (-1)^((p-1)/2) p^(p-2) has the sign and
+    # exponent of delta for (e, f) = (p - 1, 1), and disc of its halving,
+    # p^(e-1) with e = (p - 1)/2, those of delta for f = 2; primes come from
+    # a sieve, which field_discriminant reads too, and no power of p is formed
+    sieve = bytearray([1]) * (MAX_P + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(MAX_P) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, MAX_P + 1, i)))
+    primes = [p for p in range(3, MAX_P + 1, 2) if sieve[p]]
+    assert (len(primes), primes[-1]) == (166080, 2249987)
+    monkeypatch.setattr(mono_mod, "is_prime", sieve.__getitem__)
+    for p in primes:
+        direct = field_discriminant(p - 1, 1, p)
+        assert (direct.sign, direct.exponent) == ((-1) ** ((p - 1) // 2), p - 2), p
+        halved = field_discriminant((p - 1) // 2, 2, p)
+        assert (halved.sign, halved.exponent) == (1, (p - 1) // 2 - 1), p
 
 
 def test_closed_form_match_decides_as_unfolding_does():

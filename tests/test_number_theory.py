@@ -2,10 +2,9 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodeq import number_theory
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
@@ -50,9 +49,10 @@ def test_is_prime_exact_up_to_its_bound():
         assert is_prime(n) == sympy.isprime(n), n
     with pytest.raises(ValueError):
         is_prime(PRIME_TEST_BOUND)
-    with pytest.raises(CompositeP):
+    # both are far above MAX_P, which make_context refuses first
+    with pytest.raises(InvalidContext, match="MAX_P"):
         make_context(1, psi12 - 1)
-    with pytest.raises(InvalidContext):
+    with pytest.raises(InvalidContext, match="MAX_P"):
         make_context(2, (PRIME_TEST_BOUND - 1) // 2)
 
 
@@ -75,20 +75,15 @@ def test_factorize_examples():
 Q1, Q2 = 1099511627791, 1099511628401
 
 
-def test_factorize_splits_a_product_of_two_40_bit_primes():
+def test_factorize_refuses_a_product_of_two_40_bit_primes():
+    # trial division to TRIAL_LIMIT cannot split a composite with two larger
+    # prime factors, and factorize refuses it; a prime cofactor is kept
     assert is_prime(2 * Q1 * Q2 + 1)
-    for n in (2 * Q1 * Q2, Q1 * Q2, Q1 * Q1, 7 * 65537 * Q1):
-        assert factorize(n) == sympy.factorint(n)
-    assert list(factorize(Q2 * Q1 * 3)) == [3, Q1, Q2]
-
-
-def test_factorize_uses_trial_division_alone_below_the_trial_limit_squared(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"Pollard-Brent called on {n}")
-
-    monkeypatch.setattr(number_theory, "_pollard_brent", refuse)
-    for n in (65521 * 65519, TRIAL_LIMIT**2 - 1, 4294967291, 10**9 + 7):
-        assert factorize(n) == sympy.factorint(n)
+    for n in (2 * Q1 * Q2, Q1 * Q2, Q1 * Q1, 7 * 65537 * Q1, Q2 * Q1 * 3):
+        with pytest.raises(ValueError, match="no prime factor up to TRIAL_LIMIT"):
+            factorize(n)
+    assert factorize(2 * Q1) == {2: 1, Q1: 1}
+    assert factorize(7 * 65537) == {7: 1, 65537: 1}
 
 
 def test_factorize_refuses_a_cofactor_beyond_the_prime_test_bound_quickly():
@@ -107,18 +102,22 @@ def test_factorize_refuses_a_cofactor_beyond_the_prime_test_bound_quickly():
     assert factorize(3**60 * 65521) == {3: 60, 65521: 1}
 
 
-@given(
-    st.one_of(
-        st.integers(min_value=1, max_value=PRIME_TEST_BOUND - 1),
-        st.builds(
-            lambda a, b: a * b,
-            st.integers(min_value=TRIAL_LIMIT, max_value=2**40),
-            st.integers(min_value=TRIAL_LIMIT, max_value=2**40),
-        ),
-    )
-)
+# a prime above TRIAL_LIMIT, so that a product of two is a composite that
+# trial division cannot finish
+big_primes = st.integers(min_value=TRIAL_LIMIT, max_value=2**40).map(sympy.nextprime)
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=TRIAL_LIMIT**2 - 1), st.tuples(big_primes, big_primes)))
+@example(65521 * 65519)
+@example(TRIAL_LIMIT**2 - 1)
+@example(4294967291)
+@example(10**9 + 7)
 @settings(max_examples=100, deadline=None)
-def test_factorize_matches_sympy_below_the_prime_test_bound(n):
+def test_factorize_matches_sympy_below_2_32_and_refuses_two_large_factors(n):
+    if isinstance(n, tuple):
+        with pytest.raises(ValueError, match="no prime factor up to TRIAL_LIMIT"):
+            factorize(n[0] * n[1])
+        return
     facs = factorize(n)
     assert facs == sympy.factorint(n)
     assert list(facs) == sorted(facs)
@@ -158,7 +157,7 @@ def test_primitive_root_rejects_composites():
             primitive_root(n)
     with pytest.raises(InvalidContext):
         primitive_root(2)
-    with pytest.raises(ValueError, match="beyond the proven range"):
+    with pytest.raises(InvalidContext, match="above MAX_P"):
         primitive_root(PRIME_TEST_BOUND)
 
 
@@ -168,6 +167,9 @@ def test_make_context_examples():
 
     ctx = make_context(4, 1)
     assert (ctx.p, ctx.g) == (5, 2)
+
+    ctx = make_context(2, 1124993)  # the largest prime <= MAX_P
+    assert (ctx.p, ctx.g) == (2249987, 2)
 
     with pytest.raises(CompositeP, match="9 is not prime"):
         make_context(4, 2)
@@ -202,8 +204,8 @@ def test_is_primitive_root_is_the_order_definition():
     for p in filter(is_prime, range(3, 200)):
         for g in range(-2, p + 3):
             assert is_primitive_root(g, p) == (0 < g < p and _order(g, p) == p - 1), (g, p)
-    # p must be an odd prime below PRIME_TEST_BOUND
-    for n in (-7, 0, 1, 2, 4, 9, 15, 561, 1105, PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
+    # p must be an odd prime <= MAX_P
+    for n in (-7, 0, 1, 2, 4, 9, 15, 561, 1105, 100000000005083, PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
         assert not any(is_primitive_root(g, n) for g in (-1, 0, 1, 2, 3, 5, n - 1, n, n + 1))
-    # a safe prime: p - 1 = 2 * 50000000002541
-    assert is_primitive_root(2, 100000000005083) and not is_primitive_root(4, 100000000005083)
+    # the largest prime <= MAX_P is a safe prime: p - 1 = 2 * 1124993
+    assert is_primitive_root(2, 2249987) and not is_primitive_root(4, 2249987)
