@@ -16,7 +16,11 @@ the same as unfolding psi and comparing with Phi_p.  A match has k = 1 by
 theorem, as Z[zeta_p] and Z[zeta_p + zeta_p^-1] are the rings of integers,
 so D = delta, with no remainder sequence and no division:
 disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e roots 2cos(2 pi j/p)
-are all real, has disc(R) = p^(e-1).  Every other psi
+are all real, has disc(R) = p^(e-1).  A cubic psi_3 comes from Gauss's
+closed form in (L, M), 4p = L^2 + 27 M^2 (periods.gauss_cubic), with no
+period table; its D, from the cubic discriminant formula on its
+coefficients, is p^2 M^2, so k = |M|, and a k that differs from M is a
+hard error.  Every other psi
 takes k from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
 period differences (PrimePeriods.norms, exact): N_d = p m_d with integers
 m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a product of
@@ -28,7 +32,8 @@ and Gauss's signature, totally real for even f and complex for odd f.
 k == 1 exactly when every |N_d| == p, so the first N_d mod q outside
 {p, -p}, or a sign of D mod q other than delta's, proves k != 1 for the
 first CRT prime q of PrimePeriods (index_certificate); the surveys that
-count monogenic pairs run classify only where no such proof is found.
+count monogenic pairs run classify only where no such proof is found, and
+on every cubic, whose closed form costs less than the certificate.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from enum import Enum
 
 from .intpoly import IntPoly, Signature, halved_cyclotomic_prime
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
-from .periods import PrimePeriods, galois_norms
+from .periods import PrimePeriods, galois_norms, gauss_cubic
 
 
 class NotDivisible(InternalContradiction):
@@ -198,28 +203,50 @@ def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
     return MatchKind.NO_MATCH
 
 
+def _cubic_discriminant(psi: IntPoly) -> int:
+    """disc(x^3 + b x^2 + c x + d) = b^2 c^2 - 4c^3 - 4b^3 d - 27d^2 + 18bcd."""
+    d, c, b, _ = psi.coeffs
+    return b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+
+
+def needs_periods(e: int) -> bool:
+    """Whether classify reads a PrimePeriods for degree e: every e but 3,
+    whose psi_3 and index come from Gauss's closed form."""
+    return e != 3
+
+
 def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> ClassificationRecord:
     """Full pipeline for one context: build, match, find the index k.
 
-    periods, if given, is the shared builder of ctx.p (a scan passes one per
-    p); otherwise a fresh one is made.  psi's coefficients are compared, in
-    closed form and without unfolding, with those of Phi_p (f == 1) or of
-    its x + 1/x halving (f == 2).  A psi that equals its shape has k = 1
-    (Washington, Introduction to Cyclotomic Fields, Thm 2.6 and Prop 2.16);
-    any other takes k from the Galois norms of its periods
-    (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to psi.
-    ClassificationRecord.from_index derives the rest from k and delta.
+    e == 3 takes psi_3 and M from Gauss's closed form (periods.gauss_cubic)
+    and never reads periods; any other e builds psi from periods, the
+    shared builder of ctx.p (a scan passes one per p), or else from a fresh
+    one.  psi's coefficients are compared, in closed form and without
+    unfolding, with those of Phi_p (f == 1) or of its x + 1/x halving
+    (f == 2).  A psi that equals its shape has k = 1 (Washington,
+    Introduction to Cyclotomic Fields, Thm 2.6 and Prop 2.16); any other
+    cubic takes k from D of its coefficients, which must equal |M| as
+    D = p^2 M^2, and any other psi takes k from the Galois norms of its
+    periods (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to
+    psi.  ClassificationRecord.from_index derives the rest from k and delta.
     """
-    if periods is None:
-        periods = PrimePeriods(ctx.p, ctx.g)
-    elif periods.p != ctx.p:
-        raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {ctx.p}")
     e, f, p = ctx.e, ctx.f, ctx.p
-    psi = periods.polynomial(e).poly
+    if needs_periods(e):
+        if periods is None:
+            periods = PrimePeriods(p, ctx.g)
+        elif periods.p != p:
+            raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {p}")
+        psi = periods.polynomial(e).poly
+    else:
+        psi, m = gauss_cubic(p, ctx.g)
     match = _match_kind(ctx, psi)
     delta = field_discriminant(e, f, p)
     k = 1
-    if match is MatchKind.NO_MATCH:
+    if match is MatchKind.NO_MATCH and not needs_periods(e):
+        k = index_squared(_cubic_discriminant(psi), delta)[1]
+        if k != m:
+            raise InternalContradiction(f"psi_3 has index {k} and Cornacchia's M = {m} for (e={e}, f={f})")
+    elif match is MatchKind.NO_MATCH:
         norms, at_one = periods.norms(e)
         if sum(psi.coeffs) != at_one:
             raise InternalContradiction(

@@ -3,9 +3,10 @@
 Everything here is deterministic.  Every entry point of the package takes
 primes p <= MAX_P = MAX_TABLE_ENTRIES // 2 + 1 = 2250001, the largest p
 whose table of g^t mod p and one CRT table fit the table budget; a larger p
-is refused with InvalidContext.  Primality uses the fixed Miller-Rabin
-witness set 2..41, proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in
-particular for the full 64-bit range); larger n are refused, not guessed.
+is refused with InvalidContext.  Primality uses Miller-Rabin to the fixed
+witnesses 2, 3, 5, 7 below SMALL_WITNESS_BOUND ~ 3.2e9 and 2..41 from there,
+proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in particular for the
+full 64-bit range); larger n are refused, not guessed.
 factorize is wheel trial division to TRIAL_LIMIT = 2^16 alone, so it
 settles every n < 2^32, every p - 1 of the range among them; a cofactor
 that trial division leaves is kept only if is_prime proves it prime, and
@@ -39,10 +40,17 @@ class InternalContradiction(ArithmeticError):
 # arXiv:1509.00864).  Without 41 the bound is psi_12 = 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
+# The least strong pseudoprime to the witnesses 2, 3, 5, 7 alone, psi_4 =
+# 151 * 751 * 28351 (Jaeschke, Math. Comp. 61, 1993): below it those four
+# decide, which covers every p <= MAX_P and every CRT prime candidate.
+SMALL_WITNESS_BOUND = 3215031751
+_SMALL_WITNESSES = _MR_WITNESSES[:4]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for every n < PRIME_TEST_BOUND.
+    """Deterministic primality test, exact for every n < PRIME_TEST_BOUND:
+    trial division by 2..41, then Miller-Rabin to the witnesses 2, 3, 5, 7
+    below SMALL_WITNESS_BOUND and to all of 2..41 from it on.
 
     Raises ValueError for n >= PRIME_TEST_BOUND rather than guess.
     """
@@ -58,7 +66,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    for a in _SMALL_WITNESSES if n < SMALL_WITNESS_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -346,3 +346,38 @@ def period_polynomial_modular(ctx: PrimeContext) -> PeriodPolynomial:
     just above 2**29 (see PrimePeriods, which shares that work across every
     e of one p)."""
     return PrimePeriods(ctx.p, ctx.g).polynomial(ctx.e)
+
+
+def gauss_cubic(p: int, g: int) -> tuple[IntPoly, int]:
+    """(psi_3, |M|) for a prime p ≡ 1 (mod 3) from Gauss's closed form, with
+    no table: writing 4p = L^2 + 27 M^2 with L ≡ 1 (mod 3),
+    psi_3 = x^3 + x^2 - ((p - 1)/3) x - (p (L + 3) - 1)/27 and
+    disc(psi_3) = p^2 M^2 (Gauss, Disquisitiones Arithmeticae, art. 358).
+
+    (L, M) come from Cornacchia's algorithm for 4p = b^2 + 27 M^2 (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 1.5.3).
+    omega = g^((p - 1)/3) is a primitive cube root of unity mod p, so
+    (2 omega + 1)^2 = -3 and b = 3 (2 omega + 1) is a square root of -27,
+    taken odd like -27.  Euclid's algorithm on (2p, b) stops at the first
+    remainder b <= 2 sqrt(p); then (4p - b^2)/27 is M^2, and L = +-b, as
+    L^2 ≡ 4p ≡ 1 (mod 3).  A quotient that is not an integer square, or a
+    constant term that is not an integer, raises InternalContradiction.
+    """
+    if p % 3 != 1 or not is_primitive_root(g, p):
+        raise InvalidContext(f"g = {g} is not a primitive root mod a prime p = {p} ≡ 1 (mod 3)")
+    b = 3 * (2 * pow(g, (p - 1) // 3, p) + 1) % p
+    if b % 2 == 0:
+        b = p - b
+    a, limit = 2 * p, isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    L = b if b % 3 == 1 else -b
+    m_squared, m_rem = divmod(4 * p - L * L, 27)
+    m = isqrt(m_squared)
+    low, low_rem = divmod(p * (L + 3) - 1, 27)
+    if m_rem or m * m != m_squared or low_rem:
+        raise InternalContradiction(
+            f"Cornacchia's L = {L} for p = {p}: (4p - L^2)/27 is not a square "
+            "or 27 does not divide p (L + 3) - 1"
+        )
+    return IntPoly([-low, -((p - 1) // 3), 1, 1]), m

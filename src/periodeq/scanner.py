@@ -3,8 +3,10 @@ doublet detection, and the cubic growth curve.
 
 scan_tasks lists a spec's pairs e-major, the order of every report.  A
 work unit is one prime p: every (e, f) pair of that p is handled from one
-shared PrimePeriods, which is dropped before the next p's is built, so a
-survey holds the task list, the results and, per worker, one prime's tables.
+shared PrimePeriods, built at the first pair that needs one and dropped
+before the next p's, so a survey holds the task list, the results and, per
+worker, one prime's tables.  An e = 3 pair needs none: classify takes psi_3
+and its index from Gauss's closed form, so a cubic survey builds no table.
 Results are merged back into the tasks' order whatever the worker count, so
 any two runs of the same spec produce byte-identical serialized output.
 
@@ -13,9 +15,10 @@ sequence runs, since classify takes D in closed form or from the Galois
 norms of the period differences.  The census, the full doublet survey and
 the cubic counts need only which pairs are monogenic: they take
 index_certificate's proof of k != 1 where it exists and classify the other
-pairs.  Both read the same Galois norms, the certificate modulo one prime
-and classify exactly, so an uncertified pair's exact D is congruent to
-delta modulo that prime by construction and is not checked again.
+pairs, and every e = 3 pair.  Both read the same Galois norms, the
+certificate modulo one prime and classify exactly, so an uncertified pair's
+exact D is congruent to delta modulo that prime by construction and is not
+checked again.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate
+from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate, needs_periods
 from .number_theory import MAX_P, InternalContradiction, InvalidContext, PrimeContext, is_prime, primitive_root
 from .periods import PrimePeriods
 
@@ -98,24 +101,31 @@ def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
 
 
 def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
-    """step(ctx, periods) for pairs that share one p, from one PrimePeriods;
+    """step(ctx, periods) for pairs that share one p, with one PrimePeriods
+    built at the first pair that needs_periods (until then periods is None);
     a contradiction is tagged with the pair that hit it."""
+    e, f = tasks[0]
+    p = e * f + 1
+    g = primitive_root(p)
     periods = None
     out = []
     for e, f in tasks:
         try:
-            if periods is None:
-                p = e * f + 1
-                periods = PrimePeriods(p, primitive_root(p))
-            out.append(step(PrimeContext(p, e, f, periods.g), periods))
+            if periods is None and needs_periods(e):
+                periods = PrimePeriods(p, g)
+            out.append(step(PrimeContext(p, e, f, g), periods))
         except InternalContradiction as exc:
             raise ScanFailure(e, f, str(exc)) from exc
     return out
 
 
-def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods) -> ClassificationRecord | None:
-    """None if index_certificate proves k != 1, else classify's record."""
-    return None if index_certificate(periods, ctx.e) is not None else classify(ctx, periods)
+def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods | None) -> ClassificationRecord | None:
+    """None if index_certificate proves k != 1, else classify's record; a
+    pair that needs no periods goes to classify at once, as its closed form
+    costs less than the certificate."""
+    if needs_periods(ctx.e) and index_certificate(periods, ctx.e) is not None:
+        return None
+    return classify(ctx, periods)
 
 
 def _run_tasks(step, tasks: list[tuple[int, int]], worker_count: int) -> list:

@@ -685,26 +685,24 @@ def test_cubic_growth_command(capsys):
 
 
 def test_cubic_growth_exits_4_on_a_wrong_exact_norm(monkeypatch, capsys):
-    from periodeq.monogeneity import index_certificate
-    from periodeq.periods import PrimePeriods
+    import periodeq.monogeneity as mono_mod
 
-    # (3, 4) at p = 13 has k = 1 and no match, so no certificate settles it
-    # and the summary path takes its exact norms
-    ctx = make_context(3, 4)
-    assert index_certificate(PrimePeriods(13, ctx.g), 3) is None
-    rec = classify(ctx)
+    # (3, 4) at p = 13 has k = 1 and no match; classify takes it from Gauss's
+    # closed form, whose M = |N_1| / p is perturbed there, so psi_3's
+    # discriminant p^2 contradicts it
+    rec = classify(make_context(3, 4))
     assert (rec.k, rec.match_kind) == (1, MatchKind.NO_MATCH)
-    real = PrimePeriods.norms
+    real = mono_mod.gauss_cubic
 
-    def perturbed(self, e):
-        norms, at_one = real(self, e)
-        return ([norms[0] + 1, *norms[1:]] if self.p == 13 else norms), at_one
+    def perturbed(p, g):
+        psi, m = real(p, g)
+        return psi, m + (p == 13)
 
-    monkeypatch.setattr(PrimePeriods, "norms", perturbed)
+    monkeypatch.setattr(mono_mod, "gauss_cubic", perturbed)
     code, out, err = run(capsys, ["cubic-growth", "--p-bound", "20"])
     assert code == 4
     assert out == ""
-    assert "(e=3, f=4)" in err and "N_1" in err and "not divisible" in err
+    assert "(e=3, f=4)" in err and "index 1" in err and "M = 2" in err
 
 
 def test_table_verification_passes(capsys):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -5,9 +6,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import periodeq.number_theory as nt
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
+    SMALL_WITNESS_BOUND,
     TRIAL_LIMIT,
     CompositeP,
     InvalidContext,
@@ -54,6 +57,20 @@ def test_is_prime_exact_up_to_its_bound():
         make_context(1, psi12 - 1)
     with pytest.raises(InvalidContext, match="MAX_P"):
         make_context(2, (PRIME_TEST_BOUND - 1) // 2)
+
+
+def test_four_witnesses_decide_below_jaeschkes_bound(monkeypatch):
+    # the least strong pseudoprimes to 2, 3, 5 and to 2, 3, 5, 7 (Jaeschke
+    # 1993); the second is the bound itself, where all 13 witnesses take over
+    assert 25326001 == 2251 * 11251 and not is_prime(25326001)
+    assert SMALL_WITNESS_BOUND == 151 * 751 * 28351 and not is_prime(SMALL_WITNESS_BOUND)
+    rng = random.Random(20260)
+    ns = [rng.randrange(SMALL_WITNESS_BOUND) | 1 for _ in range(3000)]
+    ns += list(range(SMALL_WITNESS_BOUND - 400, SMALL_WITNESS_BOUND, 2))
+    fast = [is_prime(n) for n in ns]
+    monkeypatch.setattr(nt, "_SMALL_WITNESSES", nt._MR_WITNESSES)
+    assert fast == [is_prime(n) for n in ns]
+    assert sum(fast) > 100
 
 
 @given(st.integers(min_value=0, max_value=10**12))

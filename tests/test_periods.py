@@ -12,6 +12,7 @@ from periodeq.intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, resulta
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
+    InternalContradiction,
     InvalidContext,
     PrimeContext,
     factorize,
@@ -28,6 +29,7 @@ from periodeq.periods import (
     _product_mod,
     coefficient_bound,
     galois_norms,
+    gauss_cubic,
     period_polynomial_exact,
     period_polynomial_modular,
 )
@@ -447,3 +449,31 @@ def test_product_tree_equals_the_one_factor_at_a_time_product():
 def test_product_tree_equals_the_one_factor_at_a_time_product_hypothesis(raw, mod):
     etas = [x % mod for x in raw]
     assert _product_mod(etas, mod) == _one_factor_at_a_time(etas, mod)
+
+
+def test_gauss_cubic_equals_the_table_path_up_to_p20000():
+    # the closed form against PrimePeriods, which knows nothing of it: psi_3,
+    # and M = |N_1| / p, for every prime p ≡ 1 (mod 6) up to 20000
+    primes = [p for p in range(7, 20001, 6) if is_prime(p)]
+    assert len(primes) == 1124
+    for p in primes:
+        g = primitive_root(p)
+        periods = PrimePeriods(p, g)
+        psi, m = gauss_cubic(p, g)
+        assert psi == periods.polynomial(3).poly, p
+        assert m * p == abs(periods.norms(3)[0][0]), p
+
+
+def test_gauss_cubic_refuses_what_has_no_cubic_periods(monkeypatch):
+    assert gauss_cubic(7, 3) == (IntPoly([-1, -2, 1, 1]), 1)  # 28 = 1 + 27
+    assert gauss_cubic(31, 3) == (IntPoly([-8, -10, 1, 1]), 2)  # 124 = 4^2 + 27 * 2^2
+    for p, g in ((11, 2), (13, 3), (49, 3), (2250001 + 6, 2)):
+        with pytest.raises(InvalidContext):
+            gauss_cubic(p, g)
+    # g = 1 past the order test: omega = 1 is no cube root of unity, and
+    # Cornacchia's L = 1 leaves 4p - 1 = 51 with no factor 27
+    import periodeq.periods as periods_mod
+
+    monkeypatch.setattr(periods_mod, "is_primitive_root", lambda g, p: True)
+    with pytest.raises(InternalContradiction, match="L = 1 for p = 13"):
+        gauss_cubic(13, 1)

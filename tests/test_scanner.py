@@ -14,7 +14,7 @@ from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchK
 import periodeq
 from periodeq.cli import records_to_csv
 from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
-from periodeq.periods import MAX_TABLE_ENTRIES
+from periodeq.periods import MAX_TABLE_ENTRIES, PrimePeriods
 from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
@@ -209,6 +209,52 @@ def test_cubic_growth_small():
     assert report.total_pairs == 80
     assert report.monogenic_total == 14
     assert report.slope is not None and report.slope > 0
+
+
+def test_cubic_growth_to_10_5():
+    report = cubic_growth(10**5)
+    assert report.checkpoints == ((100, 6), (1000, 14), (10000, 32), (100000, 81))
+    assert report.total_pairs == 4784
+
+
+def test_prime_periods_are_built_only_for_pairs_of_e_other_than_3(monkeypatch):
+    import periodeq.monogeneity as mono_mod
+    import periodeq.scanner as scanner_mod
+
+    def refuse(p, g):
+        raise AssertionError(f"a PrimePeriods was built for p = {p}")
+
+    # cubics take Gauss's closed form, through every survey path
+    monkeypatch.setattr(scanner_mod, "PrimePeriods", refuse)
+    monkeypatch.setattr(mono_mod, "PrimePeriods", refuse)
+    want = scan(ScanSpec(3, 3, 2000)).records
+    assert cubic_growth(2000).monogenic_total == sum(rec.monogenic for rec in want)
+    monkeypatch.undo()
+    # a p with pairs of e = 3 and of other e builds one, at its first such pair
+    built = []
+    monkeypatch.setattr(scanner_mod, "PrimePeriods", lambda p, g: built.append(p) or PrimePeriods(p, g))
+    records = scan(ScanSpec(3, 6, 200)).records
+    assert records == tuple(classify(make_context(rec.e, rec.f)) for rec in records)
+    assert sorted(built) == sorted({rec.p for rec in records if rec.e != 3})
+
+
+def test_summary_path_names_the_pair_whose_norms_contradict(monkeypatch):
+    # with no certificate, the census classifies (4, 3) at p = 13 from its
+    # exact norms, and p does not divide N_1 + 1
+    import periodeq.scanner as scanner_mod
+
+    real = PrimePeriods.norms
+
+    def perturbed(self, e):
+        norms, at_one = real(self, e)
+        return [norms[0] + 1, *norms[1:]], at_one
+
+    monkeypatch.setattr(scanner_mod, "index_certificate", lambda periods, e: None)
+    monkeypatch.setattr(PrimePeriods, "norms", perturbed)
+    with pytest.raises(ScanFailure) as info:
+        missing_e_census(5, 32)
+    assert (info.value.e, info.value.f) == (4, 3)
+    assert "N_1" in info.value.message and "not divisible" in info.value.message
 
 
 def test_cubic_growth_degenerate_bound():
