@@ -235,19 +235,20 @@ def cmd_psi(args) -> int:
 def cmd_classify(args) -> int:
     rec = classify(make_context(args.e, args.f))
     if args.format == "text":
+        # D as k^2 * delta, as D can pass the int-to-str digit limit; composed
+        # whole, so a psi past that limit exits 2 with nothing on stdout
         delta = rec.field_discriminant
-        sign = "-" if delta.sign < 0 else "+"
-        print(f"e={rec.e} f={rec.f} p={rec.p} g={rec.g}")
-        print(f"psi = {rec.psi.to_str()}")
-        print(f"poly discriminant D = {rec.poly_discriminant}")
-        print(f"field discriminant = {sign}{delta.p}^{delta.exponent}")
-        print(f"k^2 = {rec.k_squared}, k = {rec.k}")
-        print(f"monogenic: {'yes' if rec.monogenic else 'no'}")
+        delta_text = f"{'-' if delta.sign < 0 else '+'}{delta.p}^{delta.exponent}"
         print(
-            f"signature: {rec.signature.n_real} real, "
-            f"{rec.signature.n_complex_pairs} complex pairs"
+            f"e={rec.e} f={rec.f} p={rec.p} g={rec.g}\n"
+            f"psi = {rec.psi.to_str()}\n"
+            f"poly discriminant D = {rec.k_squared} * {delta_text}\n"
+            f"field discriminant = {delta_text}\n"
+            f"k^2 = {rec.k_squared}, k = {rec.k}\n"
+            f"monogenic: {'yes' if rec.monogenic else 'no'}\n"
+            f"signature: {rec.signature.n_real} real, {rec.signature.n_complex_pairs} complex pairs\n"
+            f"match: {rec.match_kind.value}"
         )
-        print(f"match: {rec.match_kind.value}")
     elif args.format == "csv":
         print(records_to_csv([rec]), end="")
     else:

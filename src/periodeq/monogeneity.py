@@ -7,33 +7,33 @@ period polynomial satisfies D = k^2 * delta for the field discriminant
 delta and an integer index k >= 1; the period polynomial is monogenic
 (generates the ring of integers) precisely when k == 1.
 
-classify first compares psi's coefficients with the two cyclotomic shapes
-in closed form: Phi_p = 1 + x + ... + x^(p-1) when f == 1, and when f == 2
-the halving R of Phi_p under x + 1/x, the minimal polynomial of
-2cos(2 pi/p), in closed form (intpoly.halved_cyclotomic_prime).  That is
-O(e) per pair, and since x^e R(x + 1/x) = Phi_p determines R, it decides
-the same as unfolding psi and comparing with Phi_p.  A match has k = 1 by
-theorem, as Z[zeta_p] and Z[zeta_p + zeta_p^-1] are the rings of integers,
-so D = delta, with no remainder sequence and no division:
-disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and R, whose e roots 2cos(2 pi j/p)
-are all real, has disc(R) = p^(e-1).  A cubic psi_3 comes from Gauss's
-closed form in (L, M), 4p = L^2 + 27 M^2 (periods.gauss_cubic), with no
-period table; its D, from the cubic discriminant formula on its
-coefficients, is p^2 M^2, so k = |M|, and a k that differs from M is a
-hard error.  Every other psi
-takes k from the Galois norms N_d = prod_i (eta_i - eta_(i+d)) of the
-period differences (PrimePeriods.norms, exact): N_d = p m_d with integers
-m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a product of
-the m_d and D is never multiplied out; psi(1) == prod (1 - eta_i) ties psi
-to those periods.  classify and the wire reader build every record from k
-with ClassificationRecord.from_index: D = k^2 * delta, monogenic iff k == 1
-and Gauss's signature, totally real for even f and complex for odd f.
+For f <= 2, classify writes psi down: the periods are then the primitive
+p-th roots zeta^a themselves, or zeta^a + zeta^-a, so psi is
+Phi_p = 1 + x + ... + x^(p-1) when f == 1, and when f == 2 the halving of
+Phi_p under x + 1/x, the minimal polynomial of 2cos(2 pi/p), in closed
+form (intpoly.halved_cyclotomic_prime).  Both have k = 1 by theorem, as
+Z[zeta_p] and Z[zeta_p + zeta_p^-1] are the rings of integers, so
+D = delta, with no table, no remainder sequence and no division:
+disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), and the halving, whose e roots
+2cos(2 pi j/p) are all real, has discriminant p^(e-1).  A cubic psi_3 comes
+from Gauss's closed form in (L, M), 4p = L^2 + 27 M^2 (periods.gauss_cubic),
+with no period table; its D, from the cubic discriminant formula on its
+coefficients, is p^2 M^2, so k = |M|, and a k that differs from M is a hard
+error.  needs_periods names the pairs left: each takes psi from
+PrimePeriods and k from the Galois norms N_d = prod_i (eta_i - eta_(i+d))
+of the period differences (PrimePeriods.norms, exact): N_d = p m_d with
+integers m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a
+product of the m_d and D is never multiplied out; psi(1) == prod (1 - eta_i)
+ties psi to those periods.  classify and the wire reader build every record
+from k with ClassificationRecord.from_index: D = k^2 * delta, monogenic iff
+k == 1 and Gauss's signature, totally real for even f and complex for odd f.
 
 k == 1 exactly when every |N_d| == p, so the first N_d mod q outside
 {p, -p}, or a sign of D mod q other than delta's, proves k != 1 for the
 first CRT prime q of PrimePeriods (index_certificate); the surveys that
 count monogenic pairs run classify only where no such proof is found, and
-on every cubic, whose closed form costs less than the certificate.
+on every pair that needs_periods refuses, whose closed form costs less
+than the certificate.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import IntPoly, Signature, halved_cyclotomic_prime
-from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime
+from .intpoly import IntPoly, Signature, cyclotomic_prime, halved_cyclotomic_prime
+from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime, is_primitive_root
 from .periods import PrimePeriods, galois_norms, gauss_cubic
 
 
@@ -194,59 +194,54 @@ class ClassificationRecord:
         )
 
 
-def _match_kind(ctx: PrimeContext, psi: IntPoly) -> MatchKind:
-    """The cyclotomic shape psi equals exactly, or NO_MATCH."""
-    if ctx.f == 1 and psi.coeffs == (1,) * ctx.p:
-        return MatchKind.DIRECT_CYCLOTOMIC
-    if ctx.f == 2 and psi == halved_cyclotomic_prime(ctx.p):
-        return MatchKind.REDUCED_CYCLOTOMIC
-    return MatchKind.NO_MATCH
-
-
 def _cubic_discriminant(psi: IntPoly) -> int:
     """disc(x^3 + b x^2 + c x + d) = b^2 c^2 - 4c^3 - 4b^3 d - 27d^2 + 18bcd."""
     d, c, b, _ = psi.coeffs
     return b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
 
 
-def needs_periods(e: int) -> bool:
-    """Whether classify reads a PrimePeriods for degree e: every e but 3,
-    whose psi_3 and index come from Gauss's closed form."""
-    return e != 3
+def needs_periods(e: int, f: int) -> bool:
+    """Whether classify reads a PrimePeriods for (e, f): only when f > 2 and
+    e != 3, since psi is Phi_p when f == 1 and its halving when f == 2, and
+    psi_3 and its index come from Gauss's closed form."""
+    return f > 2 and e != 3
 
 
 def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> ClassificationRecord:
-    """Full pipeline for one context: build, match, find the index k.
+    """Full pipeline for one context: psi_e and its index k.
 
-    e == 3 takes psi_3 and M from Gauss's closed form (periods.gauss_cubic)
-    and never reads periods; any other e builds psi from periods, the
-    shared builder of ctx.p (a scan passes one per p), or else from a fresh
-    one.  psi's coefficients are compared, in closed form and without
-    unfolding, with those of Phi_p (f == 1) or of its x + 1/x halving
-    (f == 2).  A psi that equals its shape has k = 1 (Washington,
-    Introduction to Cyclotomic Fields, Thm 2.6 and Prop 2.16); any other
-    cubic takes k from D of its coefficients, which must equal |M| as
-    D = p^2 M^2, and any other psi takes k from the Galois norms of its
-    periods (PrimePeriods.norms), which psi(1) == prod (1 - eta_i) ties to
-    psi.  ClassificationRecord.from_index derives the rest from k and delta.
+    psi is written down for f <= 2: its periods are the primitive p-th roots
+    zeta^a themselves, or zeta^a + zeta^-a, so psi is Phi_p (f == 1) or its
+    x + 1/x halving (f == 2), with k = 1 (Washington, Introduction to
+    Cyclotomic Fields, Thm 2.6 and Prop 2.16).  Any other cubic takes psi_3
+    and M from Gauss's closed form (periods.gauss_cubic) and k from D of its
+    coefficients, which must equal |M| as D = p^2 M^2.  Only a pair that
+    needs_periods reads periods, the shared builder of ctx.p (a scan passes
+    one per p), or else a fresh one: psi from its product tree and k from
+    the Galois norms of its periods (PrimePeriods.norms), which
+    psi(1) == prod (1 - eta_i) ties to psi.  A g that is not a primitive
+    root mod p is refused on every path.  ClassificationRecord.from_index
+    derives the rest from k and delta.
     """
     e, f, p = ctx.e, ctx.f, ctx.p
-    if needs_periods(e):
+    if not is_primitive_root(ctx.g, p):
+        raise InvalidContext(f"g = {ctx.g} is not a primitive root mod an odd prime p = {p}")
+    delta = field_discriminant(e, f, p)
+    if f <= 2:
+        psi = cyclotomic_prime(p) if f == 1 else halved_cyclotomic_prime(p)
+        kind = MatchKind.DIRECT_CYCLOTOMIC if f == 1 else MatchKind.REDUCED_CYCLOTOMIC
+        return ClassificationRecord.from_index(ctx, psi, 1, kind, delta)
+    if not needs_periods(e, f):
+        psi, m = gauss_cubic(p, ctx.g)
+        k = index_squared(_cubic_discriminant(psi), delta)[1]
+        if k != m:
+            raise InternalContradiction(f"psi_3 has index {k} and Cornacchia's M = {m} for (e={e}, f={f})")
+    else:
         if periods is None:
             periods = PrimePeriods(p, ctx.g)
         elif periods.p != p:
             raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {p}")
         psi = periods.polynomial(e).poly
-    else:
-        psi, m = gauss_cubic(p, ctx.g)
-    match = _match_kind(ctx, psi)
-    delta = field_discriminant(e, f, p)
-    k = 1
-    if match is MatchKind.NO_MATCH and not needs_periods(e):
-        k = index_squared(_cubic_discriminant(psi), delta)[1]
-        if k != m:
-            raise InternalContradiction(f"psi_3 has index {k} and Cornacchia's M = {m} for (e={e}, f={f})")
-    elif match is MatchKind.NO_MATCH:
         norms, at_one = periods.norms(e)
         if sum(psi.coeffs) != at_one:
             raise InternalContradiction(
@@ -254,4 +249,4 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
                 f"for (e={e}, f={f})"
             )
         k = _index_from_norms(norms, delta)
-    return ClassificationRecord.from_index(ctx, psi, k, match, delta)
+    return ClassificationRecord.from_index(ctx, psi, k, MatchKind.NO_MATCH, delta)

@@ -5,8 +5,9 @@ scan_tasks lists a spec's pairs e-major, the order of every report.  A
 work unit is one prime p: every (e, f) pair of that p is handled from one
 shared PrimePeriods, built at the first pair that needs one and dropped
 before the next p's, so a survey holds the task list, the results and, per
-worker, one prime's tables.  An e = 3 pair needs none: classify takes psi_3
-and its index from Gauss's closed form, so a cubic survey builds no table.
+worker, one prime's tables.  Only a pair that needs_periods reads one, so a
+prime whose pairs are all f <= 2 or e = 3, which classify writes down in
+closed form, builds no table, and neither does a cubic survey.
 Results are merged back into the tasks' order whatever the worker count, so
 any two runs of the same spec produce byte-identical serialized output.
 
@@ -15,7 +16,7 @@ sequence runs, since classify takes D in closed form or from the Galois
 norms of the period differences.  The census, the full doublet survey and
 the cubic counts need only which pairs are monogenic: they take
 index_certificate's proof of k != 1 where it exists and classify the other
-pairs, and every e = 3 pair.  Both read the same Galois norms, the
+pairs, and every pair in closed form.  Both read the same Galois norms, the
 certificate modulo one prime and classify exactly, so an uncertified pair's
 exact D is congruent to delta modulo that prime by construction and is not
 checked again.
@@ -111,7 +112,7 @@ def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
     out = []
     for e, f in tasks:
         try:
-            if periods is None and needs_periods(e):
+            if periods is None and needs_periods(e, f):
                 periods = PrimePeriods(p, g)
             out.append(step(PrimeContext(p, e, f, g), periods))
         except InternalContradiction as exc:
@@ -123,7 +124,7 @@ def _classify_uncertified(ctx: PrimeContext, periods: PrimePeriods | None) -> Cl
     """None if index_certificate proves k != 1, else classify's record; a
     pair that needs no periods goes to classify at once, as its closed form
     costs less than the certificate."""
-    if needs_periods(ctx.e) and index_certificate(periods, ctx.e) is not None:
+    if needs_periods(ctx.e, ctx.f) and index_certificate(periods, ctx.e) is not None:
         return None
     return classify(ctx, periods)
 

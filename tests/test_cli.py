@@ -109,6 +109,30 @@ def test_classify_text(capsys):
     assert QUINTIC in out
 
 
+def test_classify_text_writes_d_as_k_squared_times_delta(capsys):
+    code, out, _ = run(capsys, ["classify", "--e", "6", "--f", "3"])
+    assert code == 0
+    assert "poly discriminant D = 5929 * -19^5\nfield discriminant = -19^5\n" in out
+    # D = -1451^1449 has 4582 digits, past the int-to-str limit
+    code, out, _ = run(capsys, ["classify", "--e", "1450", "--f", "1"])
+    assert code == 0
+    assert "poly discriminant D = 1 * -1451^1449\n" in out
+
+
+def test_classify_text_past_the_int_to_str_limit_writes_nothing(capsys):
+    # p = 41177 > REDUCE_MAX_P: a coefficient of the halving has 4301 digits
+    code, out, err = run(capsys, ["classify", "--e", "20588", "--f", "2"])
+    assert code == 2 and out == ""
+    assert "Exceeds the limit" in err
+
+
+def test_classify_f1_past_the_crt_table_budget(capsys):
+    # p = 12007: a CRT build of Phi_p would take 375 tables, over MAX_TABLE_ENTRIES
+    code, out, _ = run(capsys, ["classify", "--e", "12006", "--f", "1", "--format", "csv"])
+    assert code == 0
+    assert parse_csv_records(out) == [classify(make_context(12006, 1))]
+
+
 def test_classify_csv_round_trip(capsys):
     code, out, _ = run(capsys, ["classify", "--e", "4", "--f", "4", "--format", "csv"])
     assert code == 0

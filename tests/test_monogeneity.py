@@ -1,6 +1,6 @@
 import math
 import pickle
-import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +13,6 @@ from periodeq.intpoly import (
     Signature,
     cyclotomic_prime,
     demoivre_reduce,
-    demoivre_unfold,
     discriminant,
     discriminant_and_signature,
     halved_cyclotomic_prime,
@@ -25,7 +24,6 @@ from periodeq.monogeneity import (
     NotDivisible,
     NotPerfectSquare,
     _index_from_norms,
-    _match_kind,
     classify,
     field_discriminant,
     index_certificate,
@@ -35,6 +33,7 @@ from periodeq.number_theory import (
     MAX_P,
     InternalContradiction,
     InvalidContext,
+    PrimeContext,
     is_prime,
     make_context,
     primitive_root,
@@ -218,6 +217,32 @@ def test_classify_uses_shared_periods_of_its_own_p():
         classify(ctx, PrimePeriods(13, 2))
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@pytest.mark.parametrize("e, f", [(12, 1), (6, 2), (3, 4), (4, 3)], ids=["f=1", "f=2", "e=3", "f=3"])
+def test_classify_refuses_a_g_that_is_not_a_primitive_root(e, f, shared):
+    # 4 = 2^2 has order 6 mod 13; shared periods are those of g = 2
+    periods = PrimePeriods(13, 2) if shared else None
+    with pytest.raises(InvalidContext, match="g = 4 is not a primitive root mod an odd prime p = 13"):
+        classify(PrimeContext(13, e, f, 4), periods)
+
+
+@pytest.mark.parametrize("e, f", [(12006, 1), (6003, 2)])
+def test_cyclotomic_shapes_past_the_table_budget_are_written_down(monkeypatch, e, f):
+    import periodeq.monogeneity as mono_mod
+
+    # p = 12007: a CRT build of Phi_p would take 375 tables of p entries,
+    # over MAX_TABLE_ENTRIES, and of its halving more than a minute
+    def refuse(p, g):
+        raise AssertionError(f"a PrimePeriods was built for p = {p}")
+
+    monkeypatch.setattr(mono_mod, "PrimePeriods", refuse)
+    start = time.perf_counter()
+    rec = classify(make_context(e, f))
+    assert time.perf_counter() - start < 1.0
+    assert (rec.p, rec.k, rec.poly_discriminant) == (12007, 1, rec.field_discriminant.value())
+    assert rec.psi == (cyclotomic_prime if f == 1 else halved_cyclotomic_prime)(12007)
+
+
 def test_closed_form_of_cyclotomic_shapes_agrees_with_the_chain():
     contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f in (1, 2)]
     contexts += [make_context(250, 1), make_context(239, 2)]
@@ -257,14 +282,14 @@ def test_classify_never_runs_the_chain(monkeypatch):
 
 
 def test_psi_off_the_shape_must_match_its_norms(monkeypatch):
-    # Phi_11 with constant term 2: the closed form would call it monogenic,
-    # while the periods of p = 11 give prod (1 - eta_i) = Phi_11(1) = 11,
-    # not the perturbed psi(1) = 12
-    perturbed = IntPoly((2,) + (1,) * 10)
-    periods = PrimePeriods(11, 2)
+    # psi_4 of p = 13 with constant term 4: the periods give
+    # prod (1 - eta_i) = psi_4(1) = 3, not the perturbed psi(1) = 4
+    perturbed = IntPoly((4, -4, 2, 1, 1))
+    periods = PrimePeriods(13, 2)
+    assert periods.polynomial(4).poly == IntPoly((3, -4, 2, 1, 1))
     monkeypatch.setattr(periods, "polynomial", lambda e: SimpleNamespace(poly=perturbed))
-    with pytest.raises(InternalContradiction, match=r"psi\(1\) = 12 .* norm 11 .*\(e=10, f=1\)"):
-        classify(make_context(10, 1), periods)
+    with pytest.raises(InternalContradiction, match=r"psi\(1\) = 4 .* norm 3 .*\(e=4, f=3\)"):
+        classify(make_context(4, 3), periods)
 
 
 def test_norm_discriminant_equals_the_chain():
@@ -353,46 +378,6 @@ def test_matched_discriminant_is_the_field_discriminant_up_to_max_p(monkeypatch)
         assert (direct.sign, direct.exponent) == ((-1) ** ((p - 1) // 2), p - 2), p
         halved = field_discriminant((p - 1) // 2, 2, p)
         assert (halved.sign, halved.exponent) == (1, (p - 1) // 2 - 1), p
-
-
-def test_closed_form_match_decides_as_unfolding_does():
-    # every f = 2 context with p <= 600, and the same psi with one
-    # coefficient moved by +-1, against the rule it replaces
-    rng = random.Random(2)
-    for ctx in contexts_with_p_up_to(600):
-        if ctx.f != 2:
-            continue
-        psi = period_polynomial_modular(ctx).poly
-        j = rng.randrange(ctx.e + 1)
-        moved = [IntPoly(psi.coeffs[:j] + (psi.coeffs[j] + s,) + psi.coeffs[j + 1:]) for s in (1, -1)]
-        for c in (psi, *moved):
-            unfolds = demoivre_unfold(c) == cyclotomic_prime(ctx.p)
-            want = MatchKind.REDUCED_CYCLOTOMIC if unfolds else MatchKind.NO_MATCH
-            assert _match_kind(ctx, c) is want, (ctx.e, j, c)
-        assert _match_kind(ctx, psi) is MatchKind.REDUCED_CYCLOTOMIC
-
-
-def test_direct_match_compares_coefficients_without_building_phi_p(monkeypatch):
-    import periodeq.monogeneity as mono_mod
-
-    # every f = 1 context with p <= 300, and the same psi with one
-    # coefficient moved by +-1; Phi_p is built here, never by _match_kind
-    contexts = [ctx for ctx in contexts_with_p_up_to(300) if ctx.f == 1]
-    phi = {ctx.p: cyclotomic_prime(ctx.p) for ctx in contexts}
-
-    def no_phi(p):
-        raise AssertionError("_match_kind built Phi_p")
-
-    monkeypatch.setattr(mono_mod, "cyclotomic_prime", no_phi, raising=False)
-    rng = random.Random(3)
-    for ctx in contexts:
-        psi = period_polynomial_modular(ctx).poly
-        j = rng.randrange(ctx.p)
-        moved = [IntPoly(psi.coeffs[:j] + (psi.coeffs[j] + s,) + psi.coeffs[j + 1:]) for s in (1, -1)]
-        for c in (psi, *moved):
-            want = MatchKind.DIRECT_CYCLOTOMIC if c == phi[ctx.p] else MatchKind.NO_MATCH
-            assert _match_kind(ctx, c) is want, (ctx.p, j, c)
-        assert _match_kind(ctx, psi) is MatchKind.DIRECT_CYCLOTOMIC
 
 
 def test_classify_does_not_unfold(monkeypatch):

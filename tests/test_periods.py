@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodeq.intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, resultant
+from periodeq.intpoly import IntPoly, cyclotomic_prime, demoivre_reduce, halved_cyclotomic_prime, resultant
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
     PRIME_TEST_BOUND,
@@ -195,6 +195,13 @@ def test_f1_collapses_to_prime_cyclotomic():
         ctx = make_context(p - 1, 1)
         assert period_polynomial_modular(ctx).poly == cyclotomic_prime(p)
         assert period_polynomial_exact(ctx).poly == cyclotomic_prime(p)
+    # classify writes both shapes down for f <= 2; the CRT builder still
+    # gives them, Phi_p for p <= 300 and its halving for p <= 600
+    for p in filter(is_prime, range(3, 601)):
+        periods = PrimePeriods(p, primitive_root(p))
+        if p <= 300:
+            assert periods.polynomial(p - 1).poly == cyclotomic_prime(p), p
+        assert periods.polynomial((p - 1) // 2).poly == halved_cyclotomic_prime(p), p
 
 
 def test_e1_polynomial_is_x_plus_one():

@@ -217,25 +217,31 @@ def test_cubic_growth_to_10_5():
     assert report.total_pairs == 4784
 
 
-def test_prime_periods_are_built_only_for_pairs_of_e_other_than_3(monkeypatch):
+def test_prime_periods_are_built_only_for_pairs_that_need_periods(monkeypatch):
     import periodeq.monogeneity as mono_mod
     import periodeq.scanner as scanner_mod
 
     def refuse(p, g):
         raise AssertionError(f"a PrimePeriods was built for p = {p}")
 
-    # cubics take Gauss's closed form, through every survey path
+    # f <= 2 writes psi down and e = 3 takes Gauss's closed form, so a prime
+    # whose pairs are all such builds no table, through every survey path
     monkeypatch.setattr(scanner_mod, "PrimePeriods", refuse)
     monkeypatch.setattr(mono_mod, "PrimePeriods", refuse)
     want = scan(ScanSpec(3, 3, 2000)).records
     assert cubic_growth(2000).monogenic_total == sum(rec.monogenic for rec in want)
+    # e in [50, 100] with p <= 150 has f <= 2, and so has e <= 10 with p <= 11
+    assert {rec.f for rec in scan(ScanSpec(50, 100, 150)).records} == {1, 2}
+    assert missing_e_census(10, 11) == scan(ScanSpec(4, 10, 11)).missing_e == (7, 8, 9)
+    assert doublet_survey(330, mode=ScanMode.FULL) == doublet_survey(330)
     monkeypatch.undo()
-    # a p with pairs of e = 3 and of other e builds one, at its first such pair
+    # any other p builds one, at its first pair with f > 2 and e != 3
     built = []
     monkeypatch.setattr(scanner_mod, "PrimePeriods", lambda p, g: built.append(p) or PrimePeriods(p, g))
     records = scan(ScanSpec(3, 6, 200)).records
     assert records == tuple(classify(make_context(rec.e, rec.f)) for rec in records)
-    assert sorted(built) == sorted({rec.p for rec in records if rec.e != 3})
+    assert sorted(built) == sorted({rec.p for rec in records if rec.f > 2 and rec.e != 3})
+    assert len(built) < len({rec.p for rec in records})
 
 
 def test_summary_path_names_the_pair_whose_norms_contradict(monkeypatch):
