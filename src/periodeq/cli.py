@@ -25,9 +25,9 @@ import json
 import sys
 
 from .intpoly import IntPoly, cyclotomic_prime, demoivre_unfold, halved_cyclotomic_prime
-from .monogeneity import ClassificationRecord, MatchKind, classify, field_discriminant
+from .monogeneity import ClassificationRecord, MatchKind, classify, psi_and_index
 from .number_theory import MAX_P, InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
-from .periods import period_polynomial_exact, period_polynomial_modular
+from .periods import period_polynomial_exact
 from .reference_table import TABLE_ROWS, ReferenceRow
 from .scanner import (
     ScanMode,
@@ -92,7 +92,8 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
     """Build a record from its primary wire fields with
     ClassificationRecord.from_index; a malformed field, primary fields that
     contradict each other, or a derived field other than the built record's
-    raise ValueError."""
+    raise ValueError.  The rules' order test of g proves p prime, so p is
+    not proven again."""
     if not isinstance(d, dict) or d.keys() != set(_FIELDS) or type(d["coeffs"]) is not list:
         raise ValueError(f"a record needs exactly the fields {CSV_HEADER}, with coeffs a list")
     if type(d["monogenic"]) is not bool:
@@ -104,8 +105,7 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
         if not holds:
             raise ValueError(f"record (e={e}, f={f}) breaks {rule}")
     ctx, psi = PrimeContext(n["p"], e, f, n["g"]), IntPoly.from_high_to_low(coeffs)
-    delta = field_discriminant(e, f, ctx.p)
-    rec = ClassificationRecord.from_index(ctx, psi, n["k"], MatchKind(d["match_kind"]), delta)
+    rec = ClassificationRecord.from_index(ctx, psi, n["k"], MatchKind(d["match_kind"]))
     n["monogenic"] = d["monogenic"]
     built = {
         "k_squared": rec.k_squared,
@@ -208,8 +208,8 @@ def _emit(text: str, path: str | None, mode: str = "w") -> None:
 
 def cmd_psi(args) -> int:
     ctx = make_context(args.e, args.f)
-    build = period_polynomial_exact if args.engine == "exact" else period_polynomial_modular
-    poly = build(ctx).poly
+    # the exact engine is the independent reference; the default is classify's psi
+    poly = period_polynomial_exact(ctx).poly if args.engine == "exact" else psi_and_index(ctx)[0]
     if args.format == "text":
         print(poly.to_str())
     elif args.format == "csv":
@@ -264,8 +264,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    poly = period_polynomial_modular(make_context(args.e, args.f)).poly
-    unfolded = demoivre_unfold(poly)
+    unfolded = demoivre_unfold(psi_and_index(make_context(args.e, args.f))[0])
     print(unfolded.to_str())
     q = 2 * args.e + 1
     if is_prime(q) and unfolded == cyclotomic_prime(q):

@@ -120,6 +120,12 @@ def halved_cyclotomic_prime(p: int) -> IntPoly:
         raise CompositeP(f"{p} is not prime")
     if p == 2:
         raise OddDegree("degree 1 is odd")  # Phi_2 = x + 1
+    return halved_cyclotomic_unchecked(p)
+
+
+def halved_cyclotomic_unchecked(p: int) -> IntPoly:
+    """halved_cyclotomic_prime(p) for an odd p already proven prime: the
+    formula alone, with no primality test."""
     e = p // 2
     c, high = 1, [1]
     for j in range(e):

@@ -7,8 +7,9 @@ period polynomial satisfies D = k^2 * delta for the field discriminant
 delta and an integer index k >= 1; the period polynomial is monogenic
 (generates the ring of integers) precisely when k == 1.
 
-For f <= 2, classify writes psi down: the periods are then the primitive
-p-th roots zeta^a themselves, or zeta^a + zeta^-a, so psi is
+For f <= 2, psi_and_index, the choice of psi that classify shares with
+the psi and unfold commands, writes psi down: the periods are then the
+primitive p-th roots zeta^a themselves, or zeta^a + zeta^-a, so psi is
 Phi_p = 1 + x + ... + x^(p-1) when f == 1, and when f == 2 the halving of
 Phi_p under x + 1/x, the minimal polynomial of 2cos(2 pi/p), in closed
 form (intpoly.halved_cyclotomic_prime).  Both have k = 1 by theorem, as
@@ -42,9 +43,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intpoly import IntPoly, Signature, cyclotomic_prime, halved_cyclotomic_prime
+from .intpoly import IntPoly, Signature, halved_cyclotomic_unchecked
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime, is_primitive_root
-from .periods import PrimePeriods, galois_norms, gauss_cubic
+from .periods import PrimePeriods, galois_norms, gauss_cubic_unchecked
 
 
 class NotDivisible(InternalContradiction):
@@ -79,11 +80,16 @@ def _delta_sign(e: int, f: int) -> int:
     return -1 if ((e - 1) % 4 == 1 and f % 2 == 1) else 1
 
 
+def _delta(e: int, f: int, p: int) -> FieldDiscriminant:
+    """delta for p = e*f + 1 already proven prime: the formula alone."""
+    return FieldDiscriminant(sign=_delta_sign(e, f), p=p, exponent=e - 1)
+
+
 def field_discriminant(e: int, f: int, p: int) -> FieldDiscriminant:
     """Field discriminant of the degree-e period subfield for p = e*f + 1."""
     if e < 1 or f < 1 or p != e * f + 1 or not is_prime(p):
         raise InvalidContext(f"(e={e}, f={f}, p={p}) is not a valid period context")
-    return FieldDiscriminant(sign=_delta_sign(e, f), p=p, exponent=e - 1)
+    return _delta(e, f, p)
 
 
 def index_squared(poly_disc: int, delta: FieldDiscriminant) -> tuple[int, int]:
@@ -172,12 +178,13 @@ class ClassificationRecord:
     match_kind: MatchKind
 
     @classmethod
-    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int, match_kind: MatchKind, delta: FieldDiscriminant):
-        """The record of psi = psi_e for ctx with index k >= 1 and
-        delta = field_discriminant(ctx.e, ctx.f, ctx.p): D = k^2 * delta,
-        monogenic iff k == 1, and Gauss's signature: -1 lies in the subgroup
-        of order f exactly when f is even, so the period field is then totally
-        real, and otherwise totally complex."""
+    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int, match_kind: MatchKind):
+        """The record of psi = psi_e for ctx with index k >= 1, for a ctx
+        whose shape p = e*f + 1 and prime p its caller has proven: delta,
+        D = k^2 * delta, monogenic iff k == 1, and Gauss's signature: -1 lies
+        in the subgroup of order f exactly when f is even, so the period field
+        is then totally real, and otherwise totally complex."""
+        delta = _delta(ctx.e, ctx.f, ctx.p)
         return cls(
             e=ctx.e,
             f=ctx.f,
@@ -207,46 +214,67 @@ def needs_periods(e: int, f: int) -> bool:
     return f > 2 and e != 3
 
 
+def psi_and_index(ctx: PrimeContext, periods: PrimePeriods | None = None) -> tuple[IntPoly, int | None]:
+    """psi_e for ctx and, where a closed form writes psi down, its index k:
+    the one choice of psi that classify and the psi and unfold commands share.
+
+    psi is Phi_p = 1 + x + ... + x^(p-1) with k = 1 for f == 1, its x + 1/x
+    halving with k = 1 for f == 2 (Washington, Introduction to Cyclotomic
+    Fields, Thm 2.6 and Prop 2.16), and Gauss's psi_3 with k = |M| for
+    e == 3 (periods.gauss_cubic).  Any other pair takes psi from periods,
+    the shared builder of p, or else a fresh one, and k = None.  ctx must
+    come from make_context or have passed classify's checks: its g is a
+    primitive root mod the prime p = e*f + 1, and nothing here proves p or
+    tests g again.
+    """
+    e, f, p = ctx.e, ctx.f, ctx.p
+    if f == 1:
+        return IntPoly((1,) * p), 1
+    if f == 2:
+        return halved_cyclotomic_unchecked(p), 1
+    if e == 3:
+        return gauss_cubic_unchecked(p, ctx.g)
+    if periods is None:
+        periods = PrimePeriods(p, ctx.g)
+    elif periods.p != p:
+        raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {p}")
+    return periods.polynomial(e).poly, None
+
+
 def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> ClassificationRecord:
     """Full pipeline for one context: psi_e and its index k.
 
-    psi is written down for f <= 2: its periods are the primitive p-th roots
-    zeta^a themselves, or zeta^a + zeta^-a, so psi is Phi_p (f == 1) or its
-    x + 1/x halving (f == 2), with k = 1 (Washington, Introduction to
-    Cyclotomic Fields, Thm 2.6 and Prop 2.16).  Any other cubic takes psi_3
-    and M from Gauss's closed form (periods.gauss_cubic) and k from D of its
-    coefficients, which must equal |M| as D = p^2 M^2.  Only a pair that
+    A g that is not a primitive root mod an odd prime p <= MAX_P is refused
+    first, on every path; that one order test reads the cached proof of p
+    (number_theory._order_primes), so nothing after it proves p or tests g
+    again.  psi_and_index chooses psi: written down with k = 1 for f <= 2,
+    and Gauss's closed form for any other cubic, whose k from D of its
+    coefficients must equal |M|, as D = p^2 M^2.  Only a pair that
     needs_periods reads periods, the shared builder of ctx.p (a scan passes
     one per p), or else a fresh one: psi from its product tree and k from
     the Galois norms of its periods (PrimePeriods.norms), which
-    psi(1) == prod (1 - eta_i) ties to psi.  A g that is not a primitive
-    root mod p is refused on every path.  ClassificationRecord.from_index
-    derives the rest from k and delta.
+    psi(1) == prod (1 - eta_i) ties to psi.  ClassificationRecord.from_index
+    derives the rest from k.
     """
     e, f, p = ctx.e, ctx.f, ctx.p
     if not is_primitive_root(ctx.g, p):
         raise InvalidContext(f"g = {ctx.g} is not a primitive root mod an odd prime p = {p}")
-    delta = field_discriminant(e, f, p)
-    if f <= 2:
-        psi = cyclotomic_prime(p) if f == 1 else halved_cyclotomic_prime(p)
-        kind = MatchKind.DIRECT_CYCLOTOMIC if f == 1 else MatchKind.REDUCED_CYCLOTOMIC
-        return ClassificationRecord.from_index(ctx, psi, 1, kind, delta)
-    if not needs_periods(e, f):
-        psi, m = gauss_cubic(p, ctx.g)
-        k = index_squared(_cubic_discriminant(psi), delta)[1]
-        if k != m:
-            raise InternalContradiction(f"psi_3 has index {k} and Cornacchia's M = {m} for (e={e}, f={f})")
-    else:
-        if periods is None:
-            periods = PrimePeriods(p, ctx.g)
-        elif periods.p != p:
-            raise InvalidContext(f"periods of p = {periods.p} cannot build psi for p = {p}")
-        psi = periods.polynomial(e).poly
+    if e < 1 or f < 1 or p != e * f + 1:
+        raise InvalidContext(f"(e={e}, f={f}, p={p}) is not a valid period context")
+    if needs_periods(e, f) and periods is None:
+        periods = PrimePeriods(p, ctx.g)
+    psi, k = psi_and_index(ctx, periods)
+    if k is None:
         norms, at_one = periods.norms(e)
         if sum(psi.coeffs) != at_one:
             raise InternalContradiction(
                 f"psi(1) = {sum(psi.coeffs)} differs from the norm {at_one} of its periods "
                 f"for (e={e}, f={f})"
             )
-        k = _index_from_norms(norms, delta)
-    return ClassificationRecord.from_index(ctx, psi, k, MatchKind.NO_MATCH, delta)
+        k = _index_from_norms(norms, _delta(e, f, p))
+    elif f > 2:  # Gauss's psi_3, whose D must give k = |M|
+        root = index_squared(_cubic_discriminant(psi), _delta(e, f, p))[1]
+        if root != k:
+            raise InternalContradiction(f"psi_3 has index {root} and Cornacchia's M = {k} for (e={e}, f={f})")
+    kind = {1: MatchKind.DIRECT_CYCLOTOMIC, 2: MatchKind.REDUCED_CYCLOTOMIC}.get(f, MatchKind.NO_MATCH)
+    return ClassificationRecord.from_index(ctx, psi, k, kind)

@@ -6,7 +6,8 @@ whose table of g^t mod p and one CRT table fit the table budget; a larger p
 is refused with InvalidContext.  Primality uses Miller-Rabin to the fixed
 witnesses 2, 3, 5, 7 below SMALL_WITNESS_BOUND ~ 3.2e9 and 2..41 from there,
 proven exact for all n < PRIME_TEST_BOUND ~ 3.3e24 (in particular for the
-full 64-bit range); larger n are refused, not guessed.
+full 64-bit range); larger n are refused, not guessed.  prime_flags
+sieves a whole range up to MAX_P at once, for the surveys' task lists.
 factorize is wheel trial division to TRIAL_LIMIT = 2^16 alone, so it
 settles every n < 2^32, every p - 1 of the range among them; a cofactor
 that trial division leaves is kept only if is_prime proves it prime, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator
 
 
@@ -92,6 +94,20 @@ MAX_TABLE_ENTRIES = 4_500_000
 # The largest p of every entry point: its g table and one CRT table fit
 # MAX_TABLE_ENTRIES, and p - 1 < TRIAL_LIMIT**2 is factored by trial alone.
 MAX_P = MAX_TABLE_ENTRIES // 2 + 1
+
+
+def prime_flags(n: int) -> bytearray:
+    """flags with flags[m] == 1 exactly when m is prime, for 0 <= m <= n <= MAX_P:
+    a sieve of Eratosthenes, which lists the primes of a range at once where
+    is_prime would prove them one by one."""
+    if not 0 <= n <= MAX_P:
+        raise InvalidContext(f"a sieve to n = {n} is outside [0, MAX_P = {MAX_P}]")
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = bytes(min(n + 1, 2))  # 0 and 1 are not prime
+    for i in range(2, isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return flags
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -365,6 +365,13 @@ def gauss_cubic(p: int, g: int) -> tuple[IntPoly, int]:
     """
     if p % 3 != 1 or not is_primitive_root(g, p):
         raise InvalidContext(f"g = {g} is not a primitive root mod a prime p = {p} ≡ 1 (mod 3)")
+    return gauss_cubic_unchecked(p, g)
+
+
+def gauss_cubic_unchecked(p: int, g: int) -> tuple[IntPoly, int]:
+    """gauss_cubic(p, g) for a g already tested to be a primitive root mod
+    the prime p ≡ 1 (mod 3): the formula alone, with no order test; its own
+    contradictions still raise InternalContradiction."""
     b = 3 * (2 * pow(g, (p - 1) // 3, p) + 1) % p
     if b % 2 == 0:
         b = p - b

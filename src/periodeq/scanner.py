@@ -1,11 +1,12 @@
 """Surveys over (e, f) space: full classification scans, monogenic censuses,
 doublet detection, and the cubic growth curve.
 
-scan_tasks lists a spec's pairs e-major, the order of every report.  A
-work unit is one prime p: every (e, f) pair of that p is handled from one
-shared PrimePeriods, built at the first pair that needs one and dropped
-before the next p's, so a survey holds the task list, the results and, per
-worker, one prime's tables.  Only a pair that needs_periods reads one, so a
+scan_tasks lists a spec's pairs e-major, the order of every report, with
+the primes of the whole range from one sieve.  A work unit is one prime p:
+every (e, f) pair of that p is handled from one shared PrimePeriods, built
+at the first pair that needs one and dropped before the next p's, so a
+survey holds the task list, the results and, per worker, one prime's
+tables.  Only a pair that needs_periods reads one, so a
 prime whose pairs are all f <= 2 or e = 3, which classify writes down in
 closed form, builds no table, and neither does a cubic survey.
 Results are merged back into the tasks' order whatever the worker count, so
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate, needs_periods
-from .number_theory import MAX_P, InternalContradiction, InvalidContext, PrimeContext, is_prime, primitive_root
+from .number_theory import MAX_P, InternalContradiction, InvalidContext, PrimeContext, prime_flags, primitive_root
 from .periods import PrimePeriods
 
 
@@ -91,13 +92,14 @@ class ScanReport:
 
 
 def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
-    """All (e, f) with e in range and p = e*f + 1 prime, p <= p_bound, in
-    scan order: e ascending, then f."""
+    """All (e, f) with e in range and p = e*f + 1 prime, 3 <= p <= p_bound,
+    in scan order: e ascending, then f; the primes come from one sieve."""
+    flags = prime_flags(spec.p_bound)
     return [
         (e, f)
         for e in range(spec.e_min, spec.e_max + 1)
         for f in range(1, (spec.p_bound - 1) // e + 1)
-        if (p := e * f + 1) >= 3 and is_prime(p)
+        if (p := e * f + 1) >= 3 and flags[p]
     ]
 
 
@@ -168,8 +170,13 @@ def is_counterexample(rec: ClassificationRecord) -> bool:
 
 def fast_doublet_candidates(e_min: int, e_max: int) -> list[int]:
     """e >= 2 with both e + 1 and 2e + 1 prime; equivalent to a doublet by
-    theory (e = 1 would need p = 2, which has no period polynomial)."""
-    return [e for e in range(max(e_min, 2), e_max + 1) if is_prime(e + 1) and is_prime(2 * e + 1)]
+    theory (e = 1 would need p = 2, which has no period polynomial).  The
+    primes come from one sieve to 2 e_max + 1 <= MAX_P."""
+    lo = max(e_min, 2)
+    if e_max < lo:
+        return []
+    flags = prime_flags(2 * e_max + 1)
+    return [e for e in range(lo, e_max + 1) if flags[e + 1] and flags[2 * e + 1]]
 
 
 def summarize(spec: ScanSpec, records) -> ScanReport:

@@ -79,6 +79,33 @@ def test_psi_over_the_table_budget_exits_2_before_any_table(capsys, monkeypatch)
     assert "table budget MAX_TABLE_ENTRIES" in err
 
 
+@pytest.mark.parametrize("command, e, f", [("psi", 2002, 1), ("psi", 12006, 1), ("psi", 1019, 2), ("unfold", 1019, 2)])
+def test_psi_and_unfold_write_f_up_to_2_down_as_classify_does(capsys, monkeypatch, command, e, f):
+    import periodeq.monogeneity as mono_mod
+    import periodeq.periods as periods_mod
+    from periodeq.intpoly import demoivre_unfold
+
+    # p = 12007 is past the table budget for a CRT build of Phi_p; the other
+    # two took seconds of tables before psi and unfold shared classify's psi
+    code, out, _ = run(capsys, ["classify", "--e", str(e), "--f", str(f), "--format", "json"])
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+
+    def refuse(p, g):
+        raise AssertionError(f"a PrimePeriods was built for p = {p}")
+
+    for mod in (mono_mod, periods_mod):
+        monkeypatch.setattr(mod, "PrimePeriods", refuse)
+    if command == "psi":
+        code, out, _ = run(capsys, ["psi", "--e", str(e), "--f", str(f), "--format", "json"])
+        assert code == 0 and json.loads(out)["coeffs"] == coeffs
+    else:
+        code, out, err = run(capsys, ["unfold", "--e", str(e), "--f", str(f)])
+        psi = IntPoly.from_high_to_low([int(c) for c in coeffs])
+        assert code == 0 and out == demoivre_unfold(psi).to_str() + "\n"
+        assert f"matches the cyclotomic polynomial of {2 * e + 1}" in err
+
+
 def test_classify_rejects_p_beyond_primality_bound(capsys):
     from periodeq.number_theory import PRIME_TEST_BOUND
 
@@ -713,16 +740,17 @@ def test_cubic_growth_exits_4_on_a_wrong_exact_norm(monkeypatch, capsys):
 
     # (3, 4) at p = 13 has k = 1 and no match; classify takes it from Gauss's
     # closed form, whose M = |N_1| / p is perturbed there, so psi_3's
-    # discriminant p^2 contradicts it
+    # discriminant p^2 contradicts it; classify calls the formula without
+    # gauss_cubic's order test, as its own test has proven g
     rec = classify(make_context(3, 4))
     assert (rec.k, rec.match_kind) == (1, MatchKind.NO_MATCH)
-    real = mono_mod.gauss_cubic
+    real = mono_mod.gauss_cubic_unchecked
 
     def perturbed(p, g):
         psi, m = real(p, g)
         return psi, m + (p == 13)
 
-    monkeypatch.setattr(mono_mod, "gauss_cubic", perturbed)
+    monkeypatch.setattr(mono_mod, "gauss_cubic_unchecked", perturbed)
     code, out, err = run(capsys, ["cubic-growth", "--p-bound", "20"])
     assert code == 4
     assert out == ""

@@ -226,6 +226,13 @@ def test_classify_refuses_a_g_that_is_not_a_primitive_root(e, f, shared):
         classify(PrimeContext(13, e, f, 4), periods)
 
 
+@pytest.mark.parametrize("e, f", [(11, 1), (7, 2), (3, 5), (5, 3), (-3, -4)])
+def test_classify_refuses_a_context_of_another_shape(e, f):
+    # g = 2 is a primitive root mod 13, so only p != e*f + 1, or e < 1, is wrong
+    with pytest.raises(InvalidContext, match=r"\(e=-?\d+, f=-?\d+, p=13\) is not a valid period context"):
+        classify(PrimeContext(13, e, f, 2))
+
+
 @pytest.mark.parametrize("e, f", [(12006, 1), (6003, 2)])
 def test_cyclotomic_shapes_past_the_table_budget_are_written_down(monkeypatch, e, f):
     import periodeq.monogeneity as mono_mod

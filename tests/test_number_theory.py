@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import periodeq.number_theory as nt
 from periodeq.number_theory import (
     CRT_PRIME_FLOOR,
+    MAX_P,
     PRIME_TEST_BOUND,
     SMALL_WITNESS_BOUND,
     TRIAL_LIMIT,
@@ -18,6 +19,7 @@ from periodeq.number_theory import (
     is_prime,
     is_primitive_root,
     make_context,
+    prime_flags,
     primes_in_progression,
     primitive_root,
 )
@@ -28,6 +30,18 @@ CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265]
 def test_is_prime_small_range():
     for n in range(-5, 2000):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10**4])
+def test_prime_flags_is_is_prime_on_the_range(n):
+    assert list(prime_flags(n)) == [int(is_prime(m)) for m in range(n + 1)]
+
+
+def test_prime_flags_stays_inside_max_p():
+    assert prime_flags(MAX_P)[2249987] and not prime_flags(MAX_P)[MAX_P]
+    for n in (-1, MAX_P + 1):
+        with pytest.raises(InvalidContext):
+            prime_flags(n)
 
 
 def test_is_prime_rejects_carmichael_numbers():

@@ -161,6 +161,53 @@ def test_surveys_factor_each_p_minus_1_once(monkeypatch):
         assert sorted(calls) == sorted({e * f for e, f in scan_tasks(spec)})
 
 
+@pytest.mark.parametrize("bounds", [(1, 2, 3), (1, 1, 3), (4, 60, 364), (4, 100, 260), (3, 3, 7000), (1, 60, 1000)])
+def test_scan_tasks_from_the_sieve_are_the_primality_tests(bounds):
+    spec = ScanSpec(*bounds)
+    assert scan_tasks(spec) == [
+        (e, f)
+        for e in range(spec.e_min, spec.e_max + 1)
+        for f in range(1, (spec.p_bound - 1) // e + 1)
+        if (p := e * f + 1) >= 3 and is_prime(p)
+    ]
+
+
+def test_surveys_prove_each_prime_once(monkeypatch):
+    # the task list comes from a sieve, and classify reads the one cached
+    # proof of p behind its order test of g: is_prime sees each survey prime
+    # once, from _order_primes (the other calls of number_theory's own
+    # is_prime test CRT primes above 2^29), and the cubic path tests g once
+    # after primitive_root's search, in classify
+    import periodeq.intpoly as intpoly_mod
+    import periodeq.monogeneity as mono_mod
+    import periodeq.number_theory as nt
+    import periodeq.periods as periods_mod
+    import periodeq.scanner as scanner_mod
+
+    real_is_prime, real_is_root = nt.is_prime, nt.is_primitive_root
+    proofs, elsewhere = [], []
+    monkeypatch.setattr(nt, "is_prime", lambda n: proofs.append(n) or real_is_prime(n))
+    for mod in (intpoly_mod, mono_mod, periods_mod, scanner_mod):
+        monkeypatch.setattr(mod, "is_prime", lambda n: elsewhere.append(n) or real_is_prime(n), raising=False)
+    g_tests = {"search": [], "classify": [], "periods": []}
+    for mod, name in ((nt, "search"), (mono_mod, "classify"), (periods_mod, "periods")):
+        tested = g_tests[name]
+        monkeypatch.setattr(mod, "is_primitive_root", lambda g, p, tested=tested: tested.append(p) or real_is_root(g, p))
+    for survey, spec in (
+        (lambda: cubic_growth(2000), ScanSpec(3, 3, 2000)),
+        (lambda: missing_e_census(60, 400), ScanSpec(4, 60, 400)),
+    ):
+        nt._order_primes.cache_clear()
+        proofs.clear()
+        survey()
+        primes = sorted({e * f + 1 for e, f in scan_tasks(spec)})
+        assert sorted(n for n in proofs if n <= spec.p_bound) == primes
+        assert elsewhere == []
+        if spec.e_max == 3:
+            assert sorted(g_tests["classify"]) == primes and g_tests["periods"] == []
+            assert set(g_tests["search"]) == set(primes)
+
+
 def test_serial_import_leaves_multiprocessing_out():
     src = str(Path(periodeq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
