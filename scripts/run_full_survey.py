@@ -22,14 +22,7 @@ import time
 from pathlib import Path
 
 from periodeq.cli import records_to_csv, report_to_json
-from periodeq.scanner import (
-    ScanMode,
-    ScanSpec,
-    cubic_growth,
-    doublet_survey,
-    missing_e_census,
-    scan,
-)
+from periodeq.scanner import ScanSpec, cubic_growth, doublet_survey, missing_e_census, scan
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -71,9 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"census: {' '.join(str(e) for e in missing)}")
 
     t0 = time.monotonic()
-    doublets = doublet_survey(
-        args.doublet_e_max, mode=ScanMode.FAST_DOUBLET, worker_count=args.workers
-    )
+    doublets = doublet_survey(args.doublet_e_max)
     print(f"doublets: {len(doublets)} values of e in [4, {args.doublet_e_max}] are monogenic "
           f"for both f=1 and f=2 ({time.monotonic() - t0:.1f}s)")
     print(f"doublets: first 14: {' '.join(str(e) for e in doublets[:14])}")

@@ -47,7 +47,6 @@ from .periods import (
 from .scanner import (
     CubicGrowthReport,
     ScanFailure,
-    ScanMode,
     ScanReport,
     ScanSpec,
     cubic_growth,

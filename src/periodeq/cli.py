@@ -12,7 +12,7 @@ bits (k, k^2, coefficients) are decimal strings in JSON.  CSV round-trips
 byte for byte through parse_csv_records, and each record of a JSON report
 through record_from_json_dict, which checks the rules on the primary fields,
 builds the record from (e, f, k) with ClassificationRecord.from_index and
-compares the five derived fields with it; a malformed or self-contradictory
+compares the six derived fields with it; a malformed or self-contradictory
 record raises ValueError.  Nothing reads a JSON report as a whole.
 """
 
@@ -29,15 +29,7 @@ from .monogeneity import ClassificationRecord, MatchKind, classify, psi_and_inde
 from .number_theory import MAX_P, InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
 from .periods import period_polynomial_exact
 from .reference_table import TABLE_ROWS, ReferenceRow
-from .scanner import (
-    ScanMode,
-    ScanReport,
-    ScanSpec,
-    cubic_growth,
-    doublet_survey,
-    fast_doublet_candidates,
-    scan,
-)
+from .scanner import ScanReport, ScanSpec, cubic_growth, doublet_survey, scan
 
 CSV_HEADER = "e,f,p,g,n_real,delta_sign,delta_exponent,k_squared,k,monogenic,match_kind,coeffs"
 _FIELDS = CSV_HEADER.split(",")
@@ -105,14 +97,15 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
         if not holds:
             raise ValueError(f"record (e={e}, f={f}) breaks {rule}")
     ctx, psi = PrimeContext(n["p"], e, f, n["g"]), IntPoly.from_high_to_low(coeffs)
-    rec = ClassificationRecord.from_index(ctx, psi, n["k"], MatchKind(d["match_kind"]))
-    n["monogenic"] = d["monogenic"]
+    rec = ClassificationRecord.from_index(ctx, psi, n["k"])
+    n["monogenic"], n["match_kind"] = d["monogenic"], MatchKind(d["match_kind"]).value
     built = {
         "k_squared": rec.k_squared,
         "monogenic": rec.monogenic,
         "n_real": rec.signature.n_real,
         "delta_sign": rec.field_discriminant.sign,
         "delta_exponent": rec.field_discriminant.exponent,
+        "match_kind": rec.match_kind.value,
     }
     for name, value in built.items():
         if n[name] != value:
@@ -206,8 +199,23 @@ def _emit(text: str, path: str | None, mode: str = "w") -> None:
         sys.stdout.write(text)
 
 
+def _printable_halving(p: int) -> None:
+    """ValueError for a halving of Phi_p with a coefficient past the int-to-str limit."""
+    if p > REDUCE_MAX_P:
+        raise ValueError(f"p = {p} is above REDUCE_MAX_P = {REDUCE_MAX_P}, past the int-to-str limit")
+
+
+def _printable_context(e: int, f: int) -> PrimeContext:
+    """make_context(e, f), refused at once for f == 2 where psi, the halving
+    of Phi_p, could not be printed."""
+    ctx = make_context(e, f)
+    if f == 2:
+        _printable_halving(ctx.p)
+    return ctx
+
+
 def cmd_psi(args) -> int:
-    ctx = make_context(args.e, args.f)
+    ctx = _printable_context(args.e, args.f)
     # the exact engine is the independent reference; the default is classify's psi
     poly = period_polynomial_exact(ctx).poly if args.engine == "exact" else psi_and_index(ctx)[0]
     if args.format == "text":
@@ -233,10 +241,9 @@ def cmd_psi(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rec = classify(make_context(args.e, args.f))
+    rec = classify(_printable_context(args.e, args.f))
     if args.format == "text":
-        # D as k^2 * delta, as D can pass the int-to-str digit limit; composed
-        # whole, so a psi past that limit exits 2 with nothing on stdout
+        # D as k^2 * delta, as D can pass the int-to-str digit limit
         delta = rec.field_discriminant
         delta_text = f"{'-' if delta.sign < 0 else '+'}{delta.p}^{delta.exponent}"
         print(
@@ -257,8 +264,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.p > REDUCE_MAX_P:
-        raise ValueError(f"p = {args.p} is above REDUCE_MAX_P = {REDUCE_MAX_P}, past the int-to-str limit")
+    _printable_halving(args.p)
     print(halved_cyclotomic_prime(args.p).to_str())
     return 0
 
@@ -317,12 +323,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_doublets(args) -> int:
-    mode = ScanMode.FULL if args.mode == "full" else ScanMode.FAST_DOUBLET
-    found = doublet_survey(args.e_max, mode=mode, e_min=args.e_min, worker_count=args.workers)
+    found = doublet_survey(args.e_max, e_min=args.e_min)
     print(" ".join(map(str, found)))
     print(f"count for {args.e_min} <= e <= {args.e_max}: {len(found)}")
     if args.e_min > 2:
-        wide = fast_doublet_candidates(2, args.e_max)
+        wide = doublet_survey(args.e_max, e_min=2)
         print(f"count for 2 <= e <= {args.e_max}: {len(wide)}", file=sys.stderr)
     return 0
 
@@ -395,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doublets", help="e where both f=1 and f=2 are monogenic")
     p.add_argument("--e-max", type=int, required=True)
     p.add_argument("--e-min", type=int, default=4)
-    p.add_argument("--mode", default="fast", choices=("fast", "full"))
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_doublets)
 
     p = sub.add_parser("cubic-growth", help="monogenic growth curve for e = 3")

@@ -27,7 +27,8 @@ integers m_(e-d) = m_d >= 1 and |D| = prod |N_d| = k^2 p^(e-1), so k is a
 product of the m_d and D is never multiplied out; psi(1) == prod (1 - eta_i)
 ties psi to those periods.  classify and the wire reader build every record
 from k with ClassificationRecord.from_index: D = k^2 * delta, monogenic iff
-k == 1 and Gauss's signature, totally real for even f and complex for odd f.
+k == 1, Gauss's signature, totally real for even f and complex for odd f,
+and the cyclotomic match, direct for f == 1, reduced for f == 2, else none.
 
 k == 1 exactly when every |N_d| == p, so the first N_d mod q outside
 {p, -p}, or a sign of D mod q other than delta's, proves k != 1 for the
@@ -45,7 +46,7 @@ from enum import Enum
 
 from .intpoly import IntPoly, Signature, halved_cyclotomic_unchecked
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime, is_primitive_root
-from .periods import PrimePeriods, galois_norms, gauss_cubic_unchecked
+from .periods import PrimePeriods, galois_norms, gauss_cubic
 
 
 class NotDivisible(InternalContradiction):
@@ -62,6 +63,10 @@ class MatchKind(str, Enum):
     DIRECT_CYCLOTOMIC = "direct"
     REDUCED_CYCLOTOMIC = "reduced"
     NO_MATCH = "none"
+
+
+# psi is Phi_p for f == 1 and its halving for f == 2 (psi_and_index)
+_MATCH_OF_F = {1: MatchKind.DIRECT_CYCLOTOMIC, 2: MatchKind.REDUCED_CYCLOTOMIC}
 
 
 @dataclass(frozen=True)
@@ -178,12 +183,14 @@ class ClassificationRecord:
     match_kind: MatchKind
 
     @classmethod
-    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int, match_kind: MatchKind):
+    def from_index(cls, ctx: PrimeContext, psi: IntPoly, k: int):
         """The record of psi = psi_e for ctx with index k >= 1, for a ctx
         whose shape p = e*f + 1 and prime p its caller has proven: delta,
-        D = k^2 * delta, monogenic iff k == 1, and Gauss's signature: -1 lies
-        in the subgroup of order f exactly when f is even, so the period field
-        is then totally real, and otherwise totally complex."""
+        D = k^2 * delta, monogenic iff k == 1, Gauss's signature (-1 lies in
+        the subgroup of order f exactly when f is even, so the period field
+        is then totally real, and otherwise totally complex) and the
+        cyclotomic match, which is f: direct for f == 1, reduced for f == 2
+        and none for any other f."""
         delta = _delta(ctx.e, ctx.f, ctx.p)
         return cls(
             e=ctx.e,
@@ -197,7 +204,7 @@ class ClassificationRecord:
             k=k,
             monogenic=k == 1,
             signature=Signature(ctx.e, 0) if ctx.f % 2 == 0 else Signature(0, ctx.e // 2),
-            match_kind=match_kind,
+            match_kind=_MATCH_OF_F.get(ctx.f, MatchKind.NO_MATCH),
         )
 
 
@@ -233,7 +240,7 @@ def psi_and_index(ctx: PrimeContext, periods: PrimePeriods | None = None) -> tup
     if f == 2:
         return halved_cyclotomic_unchecked(p), 1
     if e == 3:
-        return gauss_cubic_unchecked(p, ctx.g)
+        return gauss_cubic(p, ctx.g)
     if periods is None:
         periods = PrimePeriods(p, ctx.g)
     elif periods.p != p:
@@ -276,5 +283,4 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
         root = index_squared(_cubic_discriminant(psi), _delta(e, f, p))[1]
         if root != k:
             raise InternalContradiction(f"psi_3 has index {root} and Cornacchia's M = {k} for (e={e}, f={f})")
-    kind = {1: MatchKind.DIRECT_CYCLOTOMIC, 2: MatchKind.REDUCED_CYCLOTOMIC}.get(f, MatchKind.NO_MATCH)
-    return ClassificationRecord.from_index(ctx, psi, k, kind)
+    return ClassificationRecord.from_index(ctx, psi, k)

@@ -360,18 +360,11 @@ def gauss_cubic(p: int, g: int) -> tuple[IntPoly, int]:
     (2 omega + 1)^2 = -3 and b = 3 (2 omega + 1) is a square root of -27,
     taken odd like -27.  Euclid's algorithm on (2p, b) stops at the first
     remainder b <= 2 sqrt(p); then (4p - b^2)/27 is M^2, and L = +-b, as
-    L^2 ≡ 4p ≡ 1 (mod 3).  A quotient that is not an integer square, or a
-    constant term that is not an integer, raises InternalContradiction.
+    L^2 ≡ 4p ≡ 1 (mod 3).  g must already be tested to be a primitive root
+    mod p (classify's order test): the formula runs no test of its own.  A
+    quotient that is not an integer square, or a constant term that is not
+    an integer, raises InternalContradiction.
     """
-    if p % 3 != 1 or not is_primitive_root(g, p):
-        raise InvalidContext(f"g = {g} is not a primitive root mod a prime p = {p} ≡ 1 (mod 3)")
-    return gauss_cubic_unchecked(p, g)
-
-
-def gauss_cubic_unchecked(p: int, g: int) -> tuple[IntPoly, int]:
-    """gauss_cubic(p, g) for a g already tested to be a primitive root mod
-    the prime p ≡ 1 (mod 3): the formula alone, with no order test; its own
-    contradictions still raise InternalContradiction."""
     b = 3 * (2 * pow(g, (p - 1) // 3, p) + 1) % p
     if b % 2 == 0:
         b = p - b

@@ -1,5 +1,5 @@
 """Surveys over (e, f) space: full classification scans, monogenic censuses,
-doublet detection, and the cubic growth curve.
+doublets by the primality rule, and the cubic growth curve.
 
 scan_tasks lists a spec's pairs e-major, the order of every report, with
 the primes of the whole range from one sieve.  A work unit is one prime p:
@@ -14,13 +14,12 @@ any two runs of the same spec produce byte-identical serialized output.
 
 scan classifies every pair exactly and keeps every record; no remainder
 sequence runs, since classify takes D in closed form or from the Galois
-norms of the period differences.  The census, the full doublet survey and
-the cubic counts need only which pairs are monogenic: they take
-index_certificate's proof of k != 1 where it exists and classify the other
-pairs, and every pair in closed form.  Both read the same Galois norms, the
-certificate modulo one prime and classify exactly, so an uncertified pair's
-exact D is congruent to delta modulo that prime by construction and is not
-checked again.
+norms of the period differences.  The census and the cubic counts need
+only which pairs are monogenic: they take index_certificate's proof of
+k != 1 where it exists and classify the other pairs, and every pair in
+closed form.  Both read the same Galois norms, the certificate modulo one
+prime and classify exactly, so an uncertified pair's exact D is congruent
+to delta modulo that prime by construction and is not checked again.
 """
 
 from __future__ import annotations
@@ -30,16 +29,10 @@ import math
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 
-from .monogeneity import ClassificationRecord, MatchKind, classify, index_certificate, needs_periods
+from .monogeneity import ClassificationRecord, classify, index_certificate, needs_periods
 from .number_theory import MAX_P, InternalContradiction, InvalidContext, PrimeContext, prime_flags, primitive_root
 from .periods import PrimePeriods
-
-
-class ScanMode(str, Enum):
-    FULL = "full"
-    FAST_DOUBLET = "fast-doublet"
 
 
 class ScanFailure(InternalContradiction):
@@ -159,24 +152,9 @@ def _monogenic_records(tasks: list[tuple[int, int]], worker_count: int) -> list[
 
 
 def is_counterexample(rec: ClassificationRecord) -> bool:
-    """Violation of: monogenic <=> f in {1, 2}, with a cyclotomic match (e >= 4)."""
-    if rec.e < 4:
-        return False
-    should_be = rec.f in (1, 2)
-    if rec.monogenic != should_be:
-        return True
-    return rec.monogenic and rec.match_kind is MatchKind.NO_MATCH
-
-
-def fast_doublet_candidates(e_min: int, e_max: int) -> list[int]:
-    """e >= 2 with both e + 1 and 2e + 1 prime; equivalent to a doublet by
-    theory (e = 1 would need p = 2, which has no period polynomial).  The
-    primes come from one sieve to 2 e_max + 1 <= MAX_P."""
-    lo = max(e_min, 2)
-    if e_max < lo:
-        return []
-    flags = prime_flags(2 * e_max + 1)
-    return [e for e in range(lo, e_max + 1) if flags[e + 1] and flags[2 * e + 1]]
+    """Violation of: monogenic <=> f in {1, 2}, for e >= 4; the cyclotomic
+    match of such a pair is its f (ClassificationRecord.from_index)."""
+    return rec.e >= 4 and rec.monogenic != (rec.f in (1, 2))
 
 
 def summarize(spec: ScanSpec, records) -> ScanReport:
@@ -220,31 +198,15 @@ def missing_e_census(e_max: int, p_bound: int = 2000, worker_count: int = 1) -> 
     return summarize(spec, _monogenic_records(scan_tasks(spec), worker_count)).missing_e
 
 
-def doublet_survey(
-    e_max: int,
-    mode: ScanMode = ScanMode.FAST_DOUBLET,
-    e_min: int = 4,
-    worker_count: int = 1,
-) -> tuple[int, ...]:
-    """Doublets (f=1 and f=2 both monogenic) for e in [max(e_min, 2), e_max].
-
-    Fast mode uses the primality shortcut; full mode decides both pairs
-    (a certificate of k != 1, else classify) and demands monogenicity plus an
-    actual cyclotomic match.
-    """
-    mode = ScanMode(mode)
-    ScanSpec(e_min, e_max, 2 * e_max + 1, worker_count)  # (e_max, 2) has p = 2 * e_max + 1
-    candidates = fast_doublet_candidates(e_min, e_max)
-    if mode is ScanMode.FAST_DOUBLET:
-        return tuple(candidates)
-    tasks = [(e, f) for e in candidates for f in (1, 2)]
-    kinds = {(rec.e, rec.f): rec.match_kind for rec in _monogenic_records(tasks, worker_count)}
-    return tuple(
-        e
-        for e in candidates
-        if kinds.get((e, 1)) is MatchKind.DIRECT_CYCLOTOMIC
-        and kinds.get((e, 2)) is MatchKind.REDUCED_CYCLOTOMIC
-    )
+def doublet_survey(e_max: int, e_min: int = 4) -> tuple[int, ...]:
+    """Doublets, the e in [max(e_min, 2), e_max] whose pairs (e, 1) and (e, 2)
+    are both monogenic: the e with e + 1 and 2e + 1 both prime, as psi is then
+    Phi_p and its halving, each with k = 1 (psi_and_index); e = 1 would need
+    p = 2, which has no period polynomial.  The primes come from one sieve to
+    2 e_max + 1 <= MAX_P."""
+    ScanSpec(e_min, e_max, 2 * e_max + 1)  # (e_max, 2) has p = 2 * e_max + 1
+    flags = prime_flags(2 * e_max + 1)
+    return tuple(e for e in range(max(e_min, 2), e_max + 1) if flags[e + 1] and flags[2 * e + 1])
 
 
 @dataclass

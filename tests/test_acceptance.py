@@ -19,17 +19,9 @@ from periodeq.intpoly import (
     signature,
 )
 from periodeq.monogeneity import FieldDiscriminant, classify, index_squared
-from periodeq.number_theory import is_prime, make_context
-from periodeq.periods import period_polynomial_exact, period_polynomial_modular
-from periodeq.scanner import (
-    ScanMode,
-    ScanSpec,
-    cubic_growth,
-    doublet_survey,
-    fast_doublet_candidates,
-    missing_e_census,
-    scan,
-)
+from periodeq.number_theory import is_prime, make_context, primitive_root
+from periodeq.periods import PrimePeriods, period_polynomial_exact, period_polynomial_modular
+from periodeq.scanner import ScanSpec, cubic_growth, doublet_survey, missing_e_census, scan
 
 EXPECTED_MISSING_E_100 = (
     7, 13, 17, 19, 24, 25, 27, 31, 32, 34, 37, 38, 43, 45, 47, 49, 55, 57,
@@ -97,24 +89,34 @@ def test_03_missing_e_census_matches():
     report(3, ok, "census of e <= 100 with no monogenic f (p <= 2000) equals the frozen 37-element list")
 
 
+def _index_is_one_by_norms(e: int, f: int) -> bool:
+    """k = 1 for (e, f) from the Galois norms of its periods, |N_d| = p for
+    every d: the path of f >= 3, which knows nothing of the closed forms."""
+    p = e * f + 1
+    norms, _ = PrimePeriods(p, primitive_root(p)).norms(e)
+    return all(abs(norm) == p for norm in norms)
+
+
 def test_04_doublet_surveys():
-    seq = doublet_survey(330, mode=ScanMode.FAST_DOUBLET)
-    count_from_4 = len(fast_doublet_candidates(4, 10**4))
-    count_from_2 = len(fast_doublet_candidates(2, 10**4))
-    full_150 = doublet_survey(150, mode=ScanMode.FULL)
-    fast_150 = doublet_survey(150, mode=ScanMode.FAST_DOUBLET)
+    seq = doublet_survey(330)
+    count_from_4 = len(doublet_survey(10**4))
+    count_from_2 = len(doublet_survey(10**4, e_min=2))
+    by_norms = tuple(
+        e for e in range(4, 151) if all(is_prime(e * f + 1) and _index_is_one_by_norms(e, f) for f in (1, 2))
+    )
     ok = (
         seq == EXPECTED_DOUBLETS_330
         and count_from_4 == 187
         and count_from_2 == 188
-        and full_150 == fast_150
+        and doublet_survey(150) == by_norms
     )
     report(
         4,
         ok,
         "doublet sequence to 330 matches; counting e in [4, 10^4] gives 187 "
         f"(from e=2 it is {count_from_2}, so the 187 figure uses e >= 4); "
-        "full classification agrees with the primality shortcut for e <= 150",
+        "for e <= 150 the doublets are the e whose pairs (e, 1) and (e, 2) both "
+        "exist and have every Galois norm of their periods equal to +-p",
     )
 
 

@@ -147,10 +147,14 @@ def test_classify_text_writes_d_as_k_squared_times_delta(capsys):
 
 
 def test_classify_text_past_the_int_to_str_limit_writes_nothing(capsys):
-    # p = 41177 > REDUCE_MAX_P: a coefficient of the halving has 4301 digits
-    code, out, err = run(capsys, ["classify", "--e", "20588", "--f", "2"])
-    assert code == 2 and out == ""
-    assert "Exceeds the limit" in err
+    # p = 41177 > REDUCE_MAX_P: a coefficient of the halving has 4301 digits,
+    # so the pair is refused as reduce refuses p, before the halving is built
+    for argv in (["classify"], ["classify", "--format", "json"], ["psi"], ["psi", "--engine", "exact"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [*argv, "--e", "20588", "--f", "2"])
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert "p = 41177 is above REDUCE_MAX_P = 41161, past the int-to-str limit" in err, argv
 
 
 def test_classify_f1_past_the_crt_table_budget(capsys):
@@ -316,7 +320,10 @@ def draw_record(draw, e, f):
         k=k,
         monogenic=k == 1,
         signature=Signature(n_real=n_real, n_complex_pairs=(e - n_real) // 2),
-        match_kind=draw(st.sampled_from(MatchKind)),
+        # the reader derives the kind from f, as classify does
+        match_kind={1: MatchKind.DIRECT_CYCLOTOMIC, 2: MatchKind.REDUCED_CYCLOTOMIC}.get(
+            f, MatchKind.NO_MATCH
+        ),
     )
 
 
@@ -422,6 +429,22 @@ def test_unknown_match_kind_is_rejected(value):
             parse_csv_records(csv_row(match_kind=value))
 
 
+def test_match_kind_that_contradicts_f_is_rejected():
+    # 4,1,5,2,0,1,3,1,1,true,none,"1 1 1 1 1": Phi_5 with k = 1 and no match
+    row = csv_row(match_kind="none")
+    assert row.splitlines()[1] == '4,1,5,2,0,1,3,1,1,true,none,"1 1 1 1 1"'
+    reason = "has match_kind none, but its \\(e, f, k\\) give direct"
+    with pytest.raises(ValueError, match=f"\\(e=4, f=1\\) {reason}"):
+        parse_csv_records(row)
+    # (4, 3) is not monogenic and has no cyclotomic shape, whatever it claims
+    d = record_to_json_dict(classify(make_context(4, 3)))
+    assert d["match_kind"] == "none"
+    for kind in ("direct", "reduced"):
+        reason = f"has match_kind {kind}, but its \\(e, f, k\\) give none"
+        with pytest.raises(ValueError, match=f"\\(e=4, f=3\\) {reason}"):
+            record_from_json_dict(dict(d, match_kind=kind))
+
+
 # the derived wire field in which each rule on (e, f, k) shows
 DERIVED_FIELD = {
     "k\\^2 = k_squared": "k_squared",
@@ -429,6 +452,7 @@ DERIVED_FIELD = {
     "n_real = e if f is even, else 0": "n_real",
     "delta_exponent = e - 1": "delta_exponent",
     "delta_sign of the field discriminant": "delta_sign",
+    "match_kind of f": "match_kind",
 }
 
 
@@ -454,6 +478,9 @@ DERIVED_FIELD = {
         # (4, 1) is totally complex: an n_real of the right parity is still wrong
         ({"n_real": 2}, "n_real = e if f is even, else 0"),
         ({"n_real": 4}, "n_real = e if f is even, else 0"),
+        # (4, 1) is Phi_5 itself: a valid kind other than direct contradicts f
+        ({"match_kind": "none"}, "match_kind of f"),
+        ({"match_kind": "reduced"}, "match_kind of f"),
     ],
 )
 def test_self_contradictory_record_is_rejected(changes, rule):
@@ -574,8 +601,8 @@ def test_scan_that_exits_4_leaves_an_existing_output_as_it_was(tmp_path, monkeyp
     [
         ["scan", "--e-range", "4:4", "--p-bound", str(10**15)],
         ["cubic-growth", "--p-bound", str(10**15)],
-        ["doublets", "--mode", "fast", "--e-max", str(10**12)],
-        ["doublets", "--mode", "full", "--e-max", str(10**12)],
+        ["doublets", "--e-max", str(10**12)],
+        ["doublets", "--e-min", "2", "--e-max", str(10**12)],
     ],
 )
 def test_survey_past_the_table_budget_exits_2_at_once(capsys, argv):
@@ -706,25 +733,22 @@ def test_doublets_command(capsys):
     assert "count for 2 <= e <= 40: 5" in err
 
 
-def test_doublets_full_mode(capsys):
-    code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--mode", "full"])
-    assert code == 0
-    assert out.splitlines()[0] == "6 18 30 36"
-
-
-def test_doublets_full_mode_from_e_min_1(capsys):
-    code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--e-min", "1", "--mode", "full"])
+def test_doublets_from_e_min_1(capsys):
+    code, out, _ = run(capsys, ["doublets", "--e-max", "40", "--e-min", "1"])
     assert code == 0
     assert out.splitlines() == ["2 6 18 30 36", "count for 1 <= e <= 40: 5"]
 
 
 def test_doublets_invalid_input_exits_2(capsys):
-    code, _, err = run(capsys, ["doublets", "--e-max", "10", "--mode", "full", "--workers", "-3"])
-    assert code == 2
-    assert "worker_count" in err
     code, out, err = run(capsys, ["doublets", "--e-max", "10", "--e-min", "50"])
     assert code == 2
     assert out == ""
+    # the doublets are the primality rule: no mode chooses another, no worker runs it
+    for option in (["--mode", "full"], ["--workers", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(["doublets", "--e-max", "40", *option])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cubic_growth_command(capsys):
@@ -740,17 +764,16 @@ def test_cubic_growth_exits_4_on_a_wrong_exact_norm(monkeypatch, capsys):
 
     # (3, 4) at p = 13 has k = 1 and no match; classify takes it from Gauss's
     # closed form, whose M = |N_1| / p is perturbed there, so psi_3's
-    # discriminant p^2 contradicts it; classify calls the formula without
-    # gauss_cubic's order test, as its own test has proven g
+    # discriminant p^2 contradicts it
     rec = classify(make_context(3, 4))
     assert (rec.k, rec.match_kind) == (1, MatchKind.NO_MATCH)
-    real = mono_mod.gauss_cubic_unchecked
+    real = mono_mod.gauss_cubic
 
     def perturbed(p, g):
         psi, m = real(p, g)
         return psi, m + (p == 13)
 
-    monkeypatch.setattr(mono_mod, "gauss_cubic_unchecked", perturbed)
+    monkeypatch.setattr(mono_mod, "gauss_cubic", perturbed)
     code, out, err = run(capsys, ["cubic-growth", "--p-bound", "20"])
     assert code == 4
     assert out == ""

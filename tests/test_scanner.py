@@ -18,12 +18,10 @@ from periodeq.periods import MAX_TABLE_ENTRIES, PrimePeriods
 from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
-    ScanMode,
     ScanSpec,
     _monogenic_records,
     cubic_growth,
     doublet_survey,
-    fast_doublet_candidates,
     is_counterexample,
     missing_e_census,
     scan,
@@ -95,33 +93,25 @@ def test_scan_worker_determinism():
     assert [e for e, f in tasks if e * f + 1 == 61] == [4, 5, 6, 10, 12, 15, 20, 30, 60]
 
 
-def test_fast_doublet_candidates():
-    assert fast_doublet_candidates(4, 40) == [6, 18, 30, 36]
-    assert fast_doublet_candidates(2, 40) == [2, 6, 18, 30, 36]
-    assert fast_doublet_candidates(7, 17) == []
+def test_doublet_survey_is_the_primality_rule():
+    assert doublet_survey(40) == (6, 18, 30, 36)
+    assert doublet_survey(40, e_min=2) == (2, 6, 18, 30, 36)
+    assert doublet_survey(17, e_min=7) == ()
+    twin = tuple(e for e in range(4, 1001) if is_prime(e + 1) and is_prime(2 * e + 1))
+    assert doublet_survey(1000) == twin
 
 
 def test_doublet_survey_rejects_invalid_input():
-    with pytest.raises(InvalidContext):
-        doublet_survey(10, mode=ScanMode.FULL, worker_count=-3)
     with pytest.raises(InvalidContext):
         doublet_survey(10, e_min=50)
     with pytest.raises(InvalidContext):
         doublet_survey(10, e_min=0)
 
 
-def test_doublet_survey_modes_agree():
-    fast = doublet_survey(40, mode=ScanMode.FAST_DOUBLET)
-    full = doublet_survey(40, mode=ScanMode.FULL)
-    assert fast == full == (6, 18, 30, 36)
-
-
-def test_doublets_start_at_e_2_in_both_modes():
+def test_doublets_start_at_e_2():
     # p = 2 has no period polynomial, so e = 1 is never a doublet
-    assert fast_doublet_candidates(1, 40) == [2, 6, 18, 30, 36]
-    fast = doublet_survey(40, mode=ScanMode.FAST_DOUBLET, e_min=1)
-    full = doublet_survey(40, mode=ScanMode.FULL, e_min=1)
-    assert fast == full == (2, 6, 18, 30, 36)
+    assert doublet_survey(40, e_min=1) == doublet_survey(40, e_min=2) == (2, 6, 18, 30, 36)
+    assert doublet_survey(1, e_min=1) == ()
 
 
 def test_missing_e_small():
@@ -239,7 +229,6 @@ def test_counterexample_predicate():
     assert is_counterexample(_record(4, 3, True, MatchKind.NO_MATCH))
     assert is_counterexample(_record(4, 1, False, MatchKind.NO_MATCH))
     assert is_counterexample(_record(4, 2, False, MatchKind.NO_MATCH))
-    assert is_counterexample(_record(4, 1, True, MatchKind.NO_MATCH))  # match failed
     # expected shapes
     assert not is_counterexample(_record(4, 1, True, MatchKind.DIRECT_CYCLOTOMIC))
     assert not is_counterexample(_record(4, 2, True, MatchKind.REDUCED_CYCLOTOMIC))
@@ -280,7 +269,7 @@ def test_prime_periods_are_built_only_for_pairs_that_need_periods(monkeypatch):
     # e in [50, 100] with p <= 150 has f <= 2, and so has e <= 10 with p <= 11
     assert {rec.f for rec in scan(ScanSpec(50, 100, 150)).records} == {1, 2}
     assert missing_e_census(10, 11) == scan(ScanSpec(4, 10, 11)).missing_e == (7, 8, 9)
-    assert doublet_survey(330, mode=ScanMode.FULL) == doublet_survey(330)
+    assert doublet_survey(330)[-2:] == (306, 330)
     monkeypatch.undo()
     # any other p builds one, at its first pair with f > 2 and e != 3
     built = []
@@ -353,8 +342,8 @@ def test_scan_propagates_contradictions(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_summary_paths_equal_what_scan_records_give(workers):
-    # census and full doublets against one scan, which holds every (e, 1)
-    # and (e, 2) with e <= 40
+    # census and doublets against one scan, which holds every (e, 1) and
+    # (e, 2) with e <= 40
     report = scan(ScanSpec(4, 40, 400, worker_count=workers))
     assert missing_e_census(40, 400, worker_count=workers) == report.missing_e
     assert missing_e_census(40, 82, worker_count=workers) == scan(ScanSpec(4, 40, 82)).missing_e
@@ -365,8 +354,8 @@ def test_summary_paths_equal_what_scan_records_give(workers):
         if kinds.get((e, 1)) is MatchKind.DIRECT_CYCLOTOMIC
         and kinds.get((e, 2)) is MatchKind.REDUCED_CYCLOTOMIC
     )
-    assert doublet_survey(40, mode=ScanMode.FULL, worker_count=workers) == want == (6, 18, 30, 36)
-    assert doublet_survey(40, mode=ScanMode.FULL, e_min=10, worker_count=workers) == (18, 30, 36)
+    assert doublet_survey(40) == want == report.doublets == (6, 18, 30, 36)
+    assert doublet_survey(40, e_min=10) == (18, 30, 36)
 
     cubics = scan(ScanSpec(3, 3, 2000, worker_count=workers)).records
     growth = cubic_growth(2000, worker_count=workers)
