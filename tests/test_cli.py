@@ -739,16 +739,20 @@ def test_doublets_from_e_min_1(capsys):
     assert out.splitlines() == ["2 6 18 30 36", "count for 1 <= e <= 40: 5"]
 
 
-def test_doublets_invalid_input_exits_2(capsys):
-    code, out, err = run(capsys, ["doublets", "--e-max", "10", "--e-min", "50"])
-    assert code == 2
-    assert out == ""
-    # the doublets are the primality rule: no mode chooses another, no worker runs it
+def test_doublets_full_mode(capsys):
+    # the full mode is deleted: the doublets are the primality rule, no mode
+    # chooses another and no worker runs it
     for option in (["--mode", "full"], ["--workers", "2"]):
         with pytest.raises(SystemExit) as info:
             main(["doublets", "--e-max", "40", *option])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_doublets_invalid_input_exits_2(capsys):
+    code, out, err = run(capsys, ["doublets", "--e-max", "10", "--e-min", "50"])
+    assert code == 2
+    assert out == ""
 
 
 def test_cubic_growth_command(capsys):

@@ -93,12 +93,27 @@ def test_scan_worker_determinism():
     assert [e for e, f in tasks if e * f + 1 == 61] == [4, 5, 6, 10, 12, 15, 20, 30, 60]
 
 
-def test_doublet_survey_is_the_primality_rule():
+def test_fast_doublet_candidates():
+    # the candidates of the primality rule are the doublets themselves
     assert doublet_survey(40) == (6, 18, 30, 36)
     assert doublet_survey(40, e_min=2) == (2, 6, 18, 30, 36)
     assert doublet_survey(17, e_min=7) == ()
+
+
+def test_doublet_survey_is_the_primality_rule():
     twin = tuple(e for e in range(4, 1001) if is_prime(e + 1) and is_prime(2 * e + 1))
     assert doublet_survey(1000) == twin
+
+
+def test_doublet_survey_modes_agree():
+    # the primality rule agrees with classifying every pair: the doublets of a
+    # scan to e = 40 are its e, with (e, 1) a direct and (e, 2) a reduced match
+    report = scan(ScanSpec(4, 40, 2 * 40 + 2))
+    assert doublet_survey(40) == report.doublets == (6, 18, 30, 36)
+    kinds = {(r.e, r.f): r.match_kind for r in report.records if r.monogenic}
+    for e in report.doublets:
+        assert kinds[(e, 1)] is MatchKind.DIRECT_CYCLOTOMIC
+        assert kinds[(e, 2)] is MatchKind.REDUCED_CYCLOTOMIC
 
 
 def test_doublet_survey_rejects_invalid_input():
