@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"doublets: first 14: {' '.join(str(e) for e in doublets[:14])}")
 
     t0 = time.monotonic()
-    growth = cubic_growth(args.cubic_p_bound, worker_count=args.workers)
+    growth = cubic_growth(args.cubic_p_bound)
     slope = "undefined" if growth.slope is None else f"{growth.slope:.3f}"
     print(f"cubics: checkpoint counts {growth.checkpoints} "
           f"(log-log slope {slope}; {time.monotonic() - t0:.1f}s)")

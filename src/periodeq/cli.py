@@ -172,9 +172,7 @@ def verify_reference_rows() -> list[tuple[ReferenceRow, bool, str]]:
         if rec.psi.high_to_low() != row.coeffs_high_to_low:
             problems.append("coefficients differ")
         if rec.signature.n_real != row.n_real:
-            problems.append(
-                f"n_real {rec.signature.n_real} != {row.n_real}"
-            )
+            problems.append(f"n_real {rec.signature.n_real} != {row.n_real}")
         if rec.poly_discriminant != row.expected_discriminant():
             problems.append("discriminant differs")
         if not rec.monogenic:
@@ -225,18 +223,8 @@ def cmd_psi(args) -> int:
         print("e,f,p,g,coeffs")
         print(f'{ctx.e},{ctx.f},{ctx.p},{ctx.g},"{coeffs}"')
     else:
-        print(
-            json.dumps(
-                {
-                    "e": ctx.e,
-                    "f": ctx.f,
-                    "p": ctx.p,
-                    "g": ctx.g,
-                    "coeffs": [str(c) for c in poly.high_to_low()],
-                },
-                indent=2,
-            )
-        )
+        obj = {"e": ctx.e, "f": ctx.f, "p": ctx.p, "g": ctx.g, "coeffs": [str(c) for c in poly.high_to_low()]}
+        print(json.dumps(obj, indent=2))
     return 0
 
 
@@ -333,7 +321,7 @@ def cmd_doublets(args) -> int:
 
 
 def cmd_cubic_growth(args) -> int:
-    report = cubic_growth(args.p_bound, worker_count=args.workers)
+    report = cubic_growth(args.p_bound)
     print(f"e=3, p = 3f + 1 <= {report.p_bound}: {report.total_pairs} pairs, "
           f"{report.monogenic_total} monogenic")
     for bound, count in report.checkpoints:
@@ -404,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cubic-growth", help="monogenic growth curve for e = 3")
     p.add_argument("--p-bound", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_cubic_growth)
 
     p = sub.add_parser("table1", help="regenerate and verify the reference table")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from math import comb, isqrt
 from operator import itemgetter
 from typing import Iterator
@@ -54,7 +55,7 @@ class NonIntegerCoefficient(InternalContradiction):
 
 def _check_table_budget(p: int, tables: int) -> None:
     """InvalidContext if `tables` tables of p - 1 entries would exceed
-    MAX_TABLE_ENTRIES; checked before the last of them is built."""
+    MAX_TABLE_ENTRIES; checked before any table past those held is built."""
     if tables * (p - 1) > MAX_TABLE_ENTRIES:
         raise InvalidContext(
             f"p = {p} would need {tables} tables of {p - 1} entries, "
@@ -223,10 +224,11 @@ class PrimePeriods:
     alone, where a later polynomial(e) or norms(e) starts.  Both bounds
     rest on the identities sum_i |eta_i|^2 = p - f and
     sum_i |eta_i - eta_(i+d)|^2 = 2p (module docstring), not on the worst
-    case |eta_i| <= f, which asks for about twice the bits.  A table that
+    case |eta_i| <= f, which asks for about twice the bits.  The primes a
+    bound asks for are searched before their tables, so a bound whose tables
     would take the entries past MAX_TABLE_ENTRIES is refused, with
-    InvalidContext, before it is built; so is every p > MAX_P, before g is
-    tested.
+    InvalidContext, before any of them is built; so is every p > MAX_P,
+    before g is tested.
     """
 
     def __init__(self, p: int, g: int):
@@ -249,24 +251,22 @@ class PrimePeriods:
         self._etas: dict[int, tuple[int, list[int]]] = {}
         self._add_prime()
 
-    def _add_prime(self) -> None:
-        p = self.p
-        _check_table_budget(p, len(self._primes) + 2)
+    def _next_prime(self) -> None:
+        """The next CRT prime and its CRT data, with no table."""
         q = next(self._candidates)
-        # element of order p in GF(q)*: use z^((q-1)/p) for the first z where it is != 1
-        m = (q - 1) // p
-        z = 2
-        while True:
-            w = pow(z, m, q)
-            if w != 1:
-                break
-            z += 1
-        wpow = _power_table(w, q, p)
         modulus = self._moduli[-1]
         self._primes.append(q)
-        self._ys.append(itemgetter(*self._tab)(wpow))
         self._inverses.append(pow(modulus % q, -1, q))
         self._moduli.append(modulus * q)
+
+    def _add_prime(self) -> None:
+        """The table ys of the first CRT prime without one, searched if new."""
+        if len(self._ys) == len(self._primes):
+            self._next_prime()
+        p, q = self.p, self._primes[len(self._ys)]
+        # element of order p in GF(q)*: z^((q-1)/p) for the first z where it is != 1
+        w = next(w for w in (pow(z, (q - 1) // p, q) for z in count(2)) if w != 1)
+        self._ys.append(itemgetter(*self._tab)(_power_table(w, q, p)))
 
     def _check_divisor(self, e: int) -> None:
         if e < 1 or (self.p - 1) % e:
@@ -301,8 +301,12 @@ class PrimePeriods:
         n = 1
         while self._moduli[n] <= 2 * bound:
             n += 1
+            # counted from the primes, which take milliseconds, before any table
+            _check_table_budget(self.p, n + 1)
             if n > len(self._primes):
-                self._add_prime()
+                self._next_prime()
+        while len(self._ys) < n:
+            self._add_prime()
         done, etas = self._etas.get(e, (0, [0] * e))
         for k in range(done, n):
             q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]

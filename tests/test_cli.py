@@ -164,6 +164,23 @@ def test_classify_f1_past_the_crt_table_budget(capsys):
     assert parse_csv_records(out) == [classify(make_context(12006, 1))]
 
 
+def test_classify_over_the_table_budget_exits_2_before_its_tables(capsys, monkeypatch):
+    # p = 20011: the bound of (6670, 3) asks for more CRT primes than the
+    # budget holds tables for; the primes are counted before any table past
+    # the g table and the residue prime's is built
+    import periodeq.periods as periods_mod
+
+    built = []
+    real = periods_mod._power_table
+    monkeypatch.setattr(periods_mod, "_power_table", lambda base, mod, n: built.append(mod) or real(base, mod, n))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["classify", "--e", "6670", "--f", "3"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert "p = 20011 would need 225 tables of 20010 entries, over the table budget" in err
+    assert len(built) == 2
+
+
 def test_classify_csv_round_trip(capsys):
     code, out, _ = run(capsys, ["classify", "--e", "4", "--f", "4", "--format", "csv"])
     assert code == 0
@@ -741,10 +758,15 @@ def test_doublets_from_e_min_1(capsys):
 
 def test_doublets_full_mode(capsys):
     # the full mode is deleted: the doublets are the primality rule, no mode
-    # chooses another and no worker runs it
-    for option in (["--mode", "full"], ["--workers", "2"]):
+    # chooses another and no worker runs it; the cubic curve, Gauss's rule,
+    # has no workers either
+    for argv in (
+        ["doublets", "--e-max", "40", "--mode", "full"],
+        ["doublets", "--e-max", "40", "--workers", "2"],
+        ["cubic-growth", "--p-bound", "1000", "--workers", "2"],
+    ):
         with pytest.raises(SystemExit) as info:
-            main(["doublets", "--e-max", "40", *option])
+            main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -778,10 +800,13 @@ def test_cubic_growth_exits_4_on_a_wrong_exact_norm(monkeypatch, capsys):
         return psi, m + (p == 13)
 
     monkeypatch.setattr(mono_mod, "gauss_cubic", perturbed)
-    code, out, err = run(capsys, ["cubic-growth", "--p-bound", "20"])
-    assert code == 4
-    assert out == ""
-    assert "(e=3, f=4)" in err and "index 1" in err and "M = 2" in err
+    # cubic-growth counts by Gauss's rule and classifies nothing, so the
+    # contradiction is reached through scan and classify
+    for argv in (["scan", "--e-range", "3", "--p-bound", "20"], ["classify", "--e", "3", "--f", "4"]):
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert "(e=3, f=4)" in err and "index 1" in err and "M = 2" in err
 
 
 def test_table_verification_passes(capsys):

@@ -150,20 +150,18 @@ def test_census_over_the_extended_interval_p2000():
 
 
 def test_surveys_factor_each_p_minus_1_once(monkeypatch):
-    # a pair's context, its PrimePeriods and primitive_root read one cached proof of p
+    # a pair's context, its PrimePeriods and primitive_root read one cached
+    # proof of p; the cubic curve is Gauss's rule on a sieve and factors none
     import periodeq.number_theory as nt
 
     calls = []
     factorize = nt.factorize
     monkeypatch.setattr(nt, "factorize", lambda n: calls.append(n) or factorize(n))
-    for survey, spec in (
-        (lambda: cubic_growth(2000), ScanSpec(3, 3, 2000)),
-        (lambda: missing_e_census(60, 400), ScanSpec(4, 60, 400)),
-    ):
-        nt._order_primes.cache_clear()
-        calls.clear()
-        survey()
-        assert sorted(calls) == sorted({e * f for e, f in scan_tasks(spec)})
+    nt._order_primes.cache_clear()
+    cubic_growth(2000)
+    assert calls == []
+    missing_e_census(60, 400)
+    assert sorted(calls) == sorted({e * f for e, f in scan_tasks(ScanSpec(4, 60, 400))})
 
 
 @pytest.mark.parametrize("bounds", [(1, 2, 3), (1, 1, 3), (4, 60, 364), (4, 100, 260), (3, 3, 7000), (1, 60, 1000)])
@@ -179,18 +177,18 @@ def test_scan_tasks_from_the_sieve_are_the_primality_tests(bounds):
 
 def test_surveys_prove_each_prime_once(monkeypatch):
     # the task list comes from a sieve, and classify reads the one cached
-    # proof of p behind its order test of g: is_prime sees each survey prime
+    # proof of p behind its order test of g: is_prime sees each census prime
     # once, from _order_primes (the other calls of number_theory's own
-    # is_prime test CRT primes above 2^29), and the cubic path tests g once
-    # after primitive_root's search, in classify
+    # is_prime test CRT primes above 2^29); the cubic curve is Gauss's rule
+    # on a sieve, so it proves no prime, tests no g and writes no psi_3
     import periodeq.intpoly as intpoly_mod
     import periodeq.monogeneity as mono_mod
     import periodeq.number_theory as nt
     import periodeq.periods as periods_mod
     import periodeq.scanner as scanner_mod
 
-    real_is_prime, real_is_root = nt.is_prime, nt.is_primitive_root
-    proofs, elsewhere = [], []
+    real_is_prime, real_is_root, real_cubic = nt.is_prime, nt.is_primitive_root, mono_mod.gauss_cubic
+    proofs, elsewhere, cubics = [], [], []
     monkeypatch.setattr(nt, "is_prime", lambda n: proofs.append(n) or real_is_prime(n))
     for mod in (intpoly_mod, mono_mod, periods_mod, scanner_mod):
         monkeypatch.setattr(mod, "is_prime", lambda n: elsewhere.append(n) or real_is_prime(n), raising=False)
@@ -198,19 +196,14 @@ def test_surveys_prove_each_prime_once(monkeypatch):
     for mod, name in ((nt, "search"), (mono_mod, "classify"), (periods_mod, "periods")):
         tested = g_tests[name]
         monkeypatch.setattr(mod, "is_primitive_root", lambda g, p, tested=tested: tested.append(p) or real_is_root(g, p))
-    for survey, spec in (
-        (lambda: cubic_growth(2000), ScanSpec(3, 3, 2000)),
-        (lambda: missing_e_census(60, 400), ScanSpec(4, 60, 400)),
-    ):
-        nt._order_primes.cache_clear()
-        proofs.clear()
-        survey()
-        primes = sorted({e * f + 1 for e, f in scan_tasks(spec)})
-        assert sorted(n for n in proofs if n <= spec.p_bound) == primes
-        assert elsewhere == []
-        if spec.e_max == 3:
-            assert sorted(g_tests["classify"]) == primes and g_tests["periods"] == []
-            assert set(g_tests["search"]) == set(primes)
+    monkeypatch.setattr(mono_mod, "gauss_cubic", lambda p, g: cubics.append(p) or real_cubic(p, g))
+    nt._order_primes.cache_clear()
+    cubic_growth(2000)
+    assert proofs == elsewhere == cubics == [] and not any(g_tests.values())
+    missing_e_census(60, 400)
+    primes = sorted({e * f + 1 for e, f in scan_tasks(ScanSpec(4, 60, 400))})
+    assert sorted(n for n in proofs if n <= 400) == primes
+    assert elsewhere == []
 
 
 def test_serial_import_leaves_multiprocessing_out():
@@ -372,11 +365,22 @@ def test_summary_paths_equal_what_scan_records_give(workers):
     assert doublet_survey(40) == want == report.doublets == (6, 18, 30, 36)
     assert doublet_survey(40, e_min=10) == (18, 30, 36)
 
-    cubics = scan(ScanSpec(3, 3, 2000, worker_count=workers)).records
-    growth = cubic_growth(2000, worker_count=workers)
+    # the cubic curve is Gauss's rule p = m^2 + m + 7; scan takes each k
+    # from Cornacchia's M through classify instead
+    cubics = scan(ScanSpec(3, 3, 10**5, worker_count=workers)).records
+    growth = cubic_growth(10**5, worker_count=workers)
     mono_ps = [r.p for r in cubics if r.monogenic]
-    checkpoints = tuple((b, sum(p <= b for p in mono_ps)) for b in (100, 1000, 2000))
+    checkpoints = tuple((b, sum(p <= b for p in mono_ps)) for b in (100, 1000, 10**4, 10**5))
     assert growth.checkpoints == checkpoints
-    assert (growth.total_pairs, growth.monogenic_total) == (len(cubics), len(mono_ps))
+    assert (growth.total_pairs, growth.monogenic_total) == (len(cubics), len(mono_ps)) == (4784, 81)
     xs, ys = zip(*((math.log10(b), math.log10(c)) for b, c in checkpoints))
     assert growth.slope == statistics.linear_regression(xs, ys).slope
+    # every bound to 400, among them the empty bounds 4..6 and the single
+    # checkpoint of 100, against the records of one scan
+    small = scan(ScanSpec(3, 3, 400)).records
+    for b in range(4, 401):
+        growth = cubic_growth(b)
+        below = [r for r in small if r.p <= b]
+        marks = [c for c in (100, 1000) if c < b] + [b]
+        assert growth.checkpoints == tuple((c, sum(r.monogenic and r.p <= c for r in below)) for c in marks), b
+        assert (growth.total_pairs, growth.monogenic_total) == (len(below), sum(r.monogenic for r in below)), b

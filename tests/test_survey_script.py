@@ -52,7 +52,8 @@ def test_workers_reach_the_census_and_the_cubics(capsys, monkeypatch):
         outs.append(_census_and_cubic_lines(capsys.readouterr().out))
     assert len(outs[0]) == 3
     assert outs[0] == outs[1]
+    # the cubic curve is Gauss's rule, counted in one process
     assert seen == [
-        ("missing_e_census", 1), ("cubic_growth", 1),
-        ("missing_e_census", 2), ("cubic_growth", 2),
+        ("missing_e_census", 1), ("cubic_growth", None),
+        ("missing_e_census", 2), ("cubic_growth", None),
     ]

@@ -1,16 +1,30 @@
-"""perfbench's traced pass on three small workloads: it builds records by
-keyword from periodeq's public stage functions, so a change to them must
-still give the product path's answers."""
+"""perfbench's passes on three small workloads.  The traced pass builds
+records by keyword from periodeq's public stage functions, so a change to
+them must still give the product path's answers; the plain pass calls the
+surveys as the benchmark times them, so a change to those calls (a keyword
+or a return value) fails here rather than in a benchmark run."""
 
 import sys
 from pathlib import Path
+
+import pytest
 
 from periodeq import ScanSpec, cubic_growth, missing_e_census, scan
 from periodeq.cli import records_to_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import one_pass  # noqa: E402
+import run  # noqa: E402
 from traced import traced_pass  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "workload, inputs", [("sweep", (4, 14, 200)), ("census", (4, 30, 100)), ("cubic", (3, 3, 2000))]
+)
+def test_plain_pass_answers_pass_the_benchmark_oracles(workload, inputs):
+    out = one_pass.plain_pass(workload, *inputs)
+    assert run.check_answer(workload, inputs, 1, out["answer"])[1] == []
 
 
 def test_traced_sweep_writes_the_scan_csv(tmp_path):
