@@ -32,7 +32,10 @@ and the cyclotomic match, direct for f == 1, reduced for f == 2, else none.
 
 k == 1 exactly when every |N_d| == p, so the first N_d mod q outside
 {p, -p}, or a sign of D mod q other than delta's, proves k != 1 for the
-first CRT prime q of PrimePeriods (index_certificate); the surveys that
+first CRT prime q of PrimePeriods (index_certificate), from the periods mod
+q, which are plain slice sums.  delta is a square mod q (Stickelberger),
+checked by Euler's criterion as (sign/q) (p/q)^(e-1), whose two symbols
+PrimePeriods takes once per prime; the surveys that
 count monogenic pairs run classify only where no such proof is found, and
 on every pair that needs_periods refuses, whose closed form costs less
 than the certificate.
@@ -153,10 +156,14 @@ def index_certificate(periods: PrimePeriods, e: int) -> int | None:
     {p, -p}, or past the last a sign of D other than delta's, proves k != 1;
     None says nothing either way.  delta is a square mod every q that splits
     completely (Stickelberger), so a non-residue raises InternalContradiction.
+    Euler's criterion is multiplicative, so (delta/q) = (sign/q) (p/q)^(e-1),
+    and the pair only multiplies the symbols that periods keeps per prime
+    (PrimePeriods.residue_symbol), with no exponentiation of its own.
     """
     q, p = periods.residue_prime, periods.p
     sign = _delta_sign(e, (p - 1) // e)
-    if pow(sign * pow(p, e - 1, q) % q, (q - 1) // 2, q) != 1:
+    symbol = periods.residue_symbol
+    if symbol(sign) * (symbol(p) if e % 2 == 0 else 1) != 1:
         raise InternalContradiction(f"delta mod {q} is not a square")
     norm = 0
     for norm in galois_norms(periods.period_residues(e), q):

@@ -14,9 +14,11 @@ It reconstructs the e periods mod M from their sums mod each prime and
 multiplies out prod (x - eta_i) once, modulo M, by a product tree whose
 levels multiply packed ints (Kronecker substitution).  Continued to the
 norms' bound, the same reconstruction gives the Galois norms of the period
-differences exactly (norms, by the one loop galois_norms); its first step
-alone, the periods modulo the first CRT prime (period_residues), is all a
-monogenicity certificate needs.
+differences exactly (norms, by the one loop galois_norms).  Its first step
+is the plain slice sums modulo the first CRT prime q, with no Garner
+arithmetic; those periods mod q (period_residues) and Euler's criterion mod
+q, taken once per prime (residue_symbol), are all a monogenicity
+certificate needs.
 
 Both bounds that size M come from two exact identities of the periods
 (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2), which follow
@@ -220,8 +222,9 @@ class PrimePeriods:
     factors is taken once, modulo M, whatever n is, by the product tree of
     _product_mod; the symmetric lift of its coefficients is psi_e.  norms
     continues the same Garner step (_periods_mod) to its own bound,
-    (2p/e)^(e/2), and period_residues is that step at the first prime
-    alone, where a later polynomial(e) or norms(e) starts.  Both bounds
+    (2p/e)^(e/2).  The reconstruction of each e starts from the plain slice
+    sums mod the first prime, kept; period_residues reads them, and a later
+    polynomial(e) or norms(e) continues from the second prime.  Both bounds
     rest on the identities sum_i |eta_i|^2 = p - f and
     sum_i |eta_i - eta_(i+d)|^2 = 2p (module docstring), not on the worst
     case |eta_i| <= f, which asks for about twice the bits.  The primes a
@@ -249,6 +252,8 @@ class PrimePeriods:
         self._inverses: list[int] = []
         # per e, the furthest reconstruction (n, [eta_i mod _moduli[n]])
         self._etas: dict[int, tuple[int, list[int]]] = {}
+        # per integer a, a^((q - 1)/2) mod q lifted, for q = residue_prime
+        self._symbols: dict[int, int] = {}
         self._add_prime()
 
     def _next_prime(self) -> None:
@@ -277,16 +282,41 @@ class PrimePeriods:
         """The first CRT prime q, the modulus of period_residues."""
         return self._primes[0]
 
+    def residue_symbol(self, a: int) -> int:
+        """The Legendre symbol (a/q) for q = residue_prime, as 1, -1 or 0, by
+        Euler's criterion a^((q - 1)/2) mod q, taken once per a and kept."""
+        symbol = self._symbols.get(a)
+        if symbol is None:
+            q = self._primes[0]
+            symbol = self._symbols[a] = _lift(pow(a, (q - 1) // 2, q), q)
+        return symbol
+
     def period_residues(self, e: int) -> list[int]:
-        """[eta_0, ..., eta_(e-1)] modulo q = residue_prime, for e | p - 1.
+        """[eta_0, ..., eta_(e-1)] modulo q = residue_prime, for e | p - 1, as
+        a fresh list.
 
         The images come from the ring map Z[zeta] -> GF(q) that sends zeta to
         w, so any integer polynomial in the periods (psi_e's coefficients,
         the Galois norms) reduces mod q to the same polynomial in them.  They
-        are _periods_mod's first Garner step, which polynomial(e) continues.
+        are the plain slice sums of the first table, mod q, which _kept_etas
+        keeps as the first step of e, so a later polynomial(e) continues them;
+        after one, the kept periods mod M are reduced mod q.
         """
         self._check_divisor(e)
-        return self._periods_mod(e, 0)[0]
+        n, etas = self._kept_etas(e)
+        if n == 1:
+            return etas[:]
+        q = self._primes[0]
+        return [val % q for val in etas]
+
+    def _kept_etas(self, e: int) -> tuple[int, list[int]]:
+        """The furthest reconstruction of e kept, else the first one,
+        (1, [sum(ys[i::e]) % q]) at the first prime q, which is then kept."""
+        kept = self._etas.get(e)
+        if kept is None:
+            q, ys = self._primes[0], self._ys[0]
+            kept = self._etas[e] = (1, [sum(ys[i::e]) % q for i in range(e)])
+        return kept
 
     def _periods_mod(self, e: int, bound: int) -> tuple[list[int], int]:
         """([eta_0, ..., eta_(e-1)] mod M, M) for a divisor e of p - 1, where M
@@ -294,6 +324,7 @@ class PrimePeriods:
         M > 2 * bound, so an integer of absolute value at most bound lifts
         exactly from mod M.
 
+        The first prime's plain slice sums start each e (_kept_etas), and
         Garner's step gives eta_i mod _moduli[k] in [0, _moduli[k]) after its
         k-th prime, so the furthest reconstruction of each e is kept: a
         larger bound continues it, and a smaller one reduces it mod M.
@@ -307,7 +338,7 @@ class PrimePeriods:
                 self._next_prime()
         while len(self._ys) < n:
             self._add_prime()
-        done, etas = self._etas.get(e, (0, [0] * e))
+        done, etas = self._kept_etas(e)
         for k in range(done, n):
             q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]
             etas = [val + mod * ((sum(ys[i::e]) - val) * inv % q) for i, val in enumerate(etas)]

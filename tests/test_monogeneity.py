@@ -421,9 +421,9 @@ def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
 
 
 def test_classify_continues_the_certificate_residues():
-    # the certificate's residues are the first Garner step of each e, so
-    # classify goes on from the second prime and never reads the first
-    # prime's table again; f = 1 and 2 are the matched shapes, the rest not
+    # the certificate's residues are the plain slice sums that start each e,
+    # kept, so classify goes on from the second prime and never reads the
+    # first prime's table again; f = 1 and 2 are the matched shapes, the rest not
     for p in (101, 193):
         divisors = [e for e in range(1, p) if (p - 1) % e == 0]
         shared = PrimePeriods(p, primitive_root(p))
@@ -526,3 +526,42 @@ def test_index_certificate_checks_that_d_over_delta_is_a_square(monkeypatch):
     monkeypatch.setattr(mono_mod, "_delta_sign", lambda e, f: non_residue)
     with pytest.raises(InternalContradiction, match="not a square"):
         index_certificate(periods, 2)
+
+
+def test_stickelberger_check_by_symbols_agrees_with_one_power_per_pair(monkeypatch):
+    # (delta/q) = (sign/q) (p/q)^(e-1): the symbols, taken once per prime,
+    # refuse exactly the sign * p^(e-1) whose Euler power is not 1, for delta's
+    # own sign, the other one and a non-residue; a pair runs no pow of its own
+    import periodeq.monogeneity as mono_mod
+    import periodeq.periods as periods_mod
+
+    calls = []
+
+    def counted_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    raised = passed = 0
+    for p in (13, 17, 43, 101, 193, 359):
+        periods = PrimePeriods(p, primitive_root(p))
+        q, divisors = periods.residue_prime, [d for d in range(1, p) if (p - 1) % d == 0]
+        non_residue = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
+        monkeypatch.setattr(periods_mod, "pow", counted_pow, raising=False)
+        monkeypatch.setattr(mono_mod, "pow", counted_pow, raising=False)
+        calls.clear()
+        for sign in (1, -1, non_residue):
+            monkeypatch.setattr(mono_mod, "_delta_sign", lambda e, f, sign=sign: sign)
+            for e in divisors:
+                refused = pow(sign * pow(p, e - 1, q) % q, (q - 1) // 2, q) != 1
+                try:
+                    index_certificate(periods, e)
+                except InternalContradiction as exc:
+                    assert refused and "not a square" in str(exc), (p, e, sign)
+                    raised += 1
+                else:
+                    assert not refused, (p, e, sign)
+                    passed += 1
+        assert len(calls) == len(periods._symbols) <= 4, p  # 1, -1, non_residue, p
+        monkeypatch.undo()
+        assert all(index_certificate(periods, e) in (None, q) for e in divisors)  # delta's own sign
+    assert raised and passed

@@ -387,6 +387,33 @@ def test_period_residues_are_the_roots_of_psi_mod_q():
             PrimePeriods(13, 2).period_residues(e)
 
 
+def test_period_residues_are_kept_slice_sums_in_any_call_order():
+    # the residues are the plain slice sums of the first table mod q, kept as
+    # the first step of e: a fresh list of the same values before and after
+    # polynomial and norms carry e past the first prime, and polynomial and
+    # norms are the same whether or not the certificate's residues came first
+    from periodeq.monogeneity import index_certificate
+
+    for p in (101, 193, 359):
+        g = primitive_root(p)
+        cert_first, cert_last = PrimePeriods(p, g), PrimePeriods(p, g)
+        q, carried = cert_first.residue_prime, 0
+        for e in (d for d in range(1, p) if (p - 1) % d == 0):
+            want = [sum(cert_first._ys[0][i::e]) % q for i in range(e)]
+            index_certificate(cert_first, e)
+            before = cert_first.period_residues(e)
+            built = (cert_first.polynomial(e), cert_first.norms(e))
+            assert (cert_last.polynomial(e), cert_last.norms(e)) == built, (p, e)
+            after, last = cert_first.period_residues(e), cert_last.period_residues(e)
+            assert before == after == last == want, (p, e)
+            carried += cert_first._etas[e][0] > 1
+            for fresh, kept in ((before, cert_first), (after, cert_first), (last, cert_last)):
+                assert fresh is not kept._etas[e][1]
+                fresh[0] += q  # a caller's change never reaches the kept periods
+                assert kept.period_residues(e) == want, (p, e)
+        assert carried > 1, p  # past the first prime, the kept periods are mod M
+
+
 # -- power tables ------------------------------------------------------------
 
 
