@@ -5,7 +5,8 @@ Executes four experiments and prints a summary:
 
   1. classify every (e, f) pair with e in [4, e_max] and p = e*f + 1 <= p_bound,
      reporting how many pairs were checked and any conjecture counterexamples;
-  2. census of e values that admit no monogenic period polynomial;
+  2. census of e values that admit no monogenic period polynomial, with its
+     own conjecture counterexamples;
   3. the "monogenic doublet" sequence (e with both f = 1 and f = 2 monogenic);
   4. growth of the count of monogenic cubic fields with p <= 10^k.
 
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 from periodeq.cli import records_to_csv, report_to_json
-from periodeq.scanner import ScanSpec, cubic_growth, doublet_survey, missing_e_census, scan
+from periodeq.scanner import ScanSpec, census, cubic_growth, doublet_survey, scan
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -39,6 +40,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def print_counterexamples(records) -> None:
+    for rec in records:
+        print(f"  COUNTEREXAMPLE: e={rec.e} f={rec.f} p={rec.p} "
+              f"monogenic={rec.monogenic} match={rec.match_kind.value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
 
@@ -51,17 +58,15 @@ def main(argv: list[str] | None = None) -> int:
     monogenic_total = sum(1 for r in result.records if r.monogenic)
     print(f"sweep: {monogenic_total} monogenic pairs, "
           f"{len(result.counterexamples)} conjecture counterexamples")
-    for rec in result.counterexamples:
-        print(f"  COUNTEREXAMPLE: e={rec.e} f={rec.f} p={rec.p} "
-              f"monogenic={rec.monogenic} match={rec.match_kind.value}")
+    print_counterexamples(result.counterexamples)
 
     t0 = time.monotonic()
-    missing = missing_e_census(
-        args.census_e_max, args.census_p_bound, worker_count=args.workers
-    )
+    counted = census(ScanSpec(4, args.census_e_max, args.census_p_bound, args.workers))
+    missing = counted.missing_e
     print(f"census: {len(missing)} values of e <= {args.census_e_max} admit no monogenic f "
           f"(searching p <= {args.census_p_bound}; {time.monotonic() - t0:.1f}s)")
     print(f"census: {' '.join(str(e) for e in missing)}")
+    print_counterexamples(counted.counterexamples)
 
     t0 = time.monotonic()
     doublets = doublet_survey(args.doublet_e_max)
@@ -85,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             json_path.write_text(report_to_json(result), encoding="utf-8")
             print(f"wrote {json_path}")
 
-    return 0 if not result.counterexamples else 3
+    return 3 if result.counterexamples or counted.counterexamples else 0
 
 
 if __name__ == "__main__":

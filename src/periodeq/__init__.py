@@ -49,6 +49,7 @@ from .scanner import (
     ScanFailure,
     ScanReport,
     ScanSpec,
+    census,
     cubic_growth,
     doublet_survey,
     missing_e_census,

@@ -29,7 +29,7 @@ from .monogeneity import ClassificationRecord, MatchKind, classify, psi_and_inde
 from .number_theory import MAX_P, InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
 from .periods import period_polynomial_exact
 from .reference_table import TABLE_ROWS, ReferenceRow
-from .scanner import ScanReport, ScanSpec, cubic_growth, doublet_survey, scan
+from .scanner import ScanReport, ScanSpec, census, cubic_growth, doublet_survey, scan
 
 CSV_HEADER = "e,f,p,g,n_real,delta_sign,delta_exponent,k_squared,k,monogenic,match_kind,coeffs"
 _FIELDS = CSV_HEADER.split(",")
@@ -276,15 +276,11 @@ def _parse_e_range(text: str) -> tuple[int, int]:
 
 def cmd_scan(args) -> int:
     e_min, e_max = _parse_e_range(args.e_range)
-    spec = ScanSpec(
-        e_min=e_min,
-        e_max=e_max,
-        p_bound=args.p_bound,
-        worker_count=args.workers,
-    )
+    spec = ScanSpec(e_min, e_max, args.p_bound, args.workers)
     # appending nothing refuses an unwritable path before the work and truncates no file
     _emit("", args.output, "a")
-    report = scan(spec)
+    # the summary needs only the monogenic records; csv and json need every record
+    report = census(spec) if args.format == "text" else scan(spec)
     if args.format == "csv":
         _emit(records_to_csv(report.records), args.output)
     elif args.format == "json":
@@ -292,22 +288,19 @@ def cmd_scan(args) -> int:
     else:
         lines = [
             f"scanned e in [{spec.e_min}, {spec.e_max}], p <= {spec.p_bound}, "
-            f"mode=full: {len(report.records)} pairs",
-            f"monogenic pairs: {sum(1 for r in report.records if r.monogenic)}",
+            f"mode=full: {report.pairs} pairs",
+            f"monogenic pairs: {len(report.records)}",
             f"missing e: {' '.join(map(str, report.missing_e)) or 'none'}",
             f"doublets: {' '.join(map(str, report.doublets)) or 'none'}",
             f"counterexamples: {len(report.counterexamples)}",
         ]
         _emit("\n".join(lines) + "\n", args.output)
-    if report.counterexamples:
-        for rec in report.counterexamples:
-            print(
-                f"counterexample: e={rec.e} f={rec.f} p={rec.p} "
-                f"k={rec.k} match={rec.match_kind.value}",
-                file=sys.stderr,
-            )
-        return 3
-    return 0
+    for rec in report.counterexamples:
+        print(
+            f"counterexample: e={rec.e} f={rec.f} p={rec.p} k={rec.k} match={rec.match_kind.value}",
+            file=sys.stderr,
+        )
+    return 3 if report.counterexamples else 0
 
 
 def cmd_doublets(args) -> int:

@@ -12,15 +12,16 @@ closed form, builds no table.
 Results are merged back into the tasks' order whatever the worker count, so
 any two runs of the same spec produce byte-identical serialized output.
 
-scan classifies every pair exactly and keeps every record; no remainder
-sequence runs, since classify takes D in closed form or from the Galois
-norms of the period differences.  The census needs only which pairs are
-monogenic: it takes index_certificate's proof of k != 1 where it exists
-and classifies the other pairs, and every pair in closed form.  Both read
-the same Galois norms, the certificate modulo one prime and classify
-exactly, so an uncertified pair's exact D is congruent to delta modulo that
-prime by construction and is not checked again.  The doublets and the
-cubic curve classify nothing: each is a rule on one sieve's primes.
+scan classifies every pair exactly and keeps every record, which CSV and
+JSON need.  census keeps only the monogenic records, which decide every
+summary: it takes index_certificate's proof of k != 1 where it exists and
+classifies the other pairs, and every pair in closed form.  An f <= 2 pair
+has k = 1 by theorem and is never certified, so a counterexample is a
+monogenic f >= 3 record, which census keeps.  Both read the same Galois
+norms, the certificate modulo one prime and classify exactly, so an
+uncertified pair's exact D is congruent to delta modulo that prime by
+construction and is not checked again.  The doublets and the cubic curve
+classify nothing: each is a rule on one sieve's primes.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class ScanSpec:
 @dataclass
 class ScanReport:
     spec: ScanSpec
+    pairs: int
     records: tuple[ClassificationRecord, ...]
     monogenic_map: dict[int, tuple[int, ...]]
     missing_e: tuple[int, ...]
@@ -145,23 +147,16 @@ def _run_tasks(step, tasks: list[tuple[int, int]], worker_count: int) -> list:
     return [by_pair[task] for task in tasks]
 
 
-def _monogenic_records(tasks: list[tuple[int, int]], worker_count: int) -> list[ClassificationRecord]:
-    """The exact records of the monogenic pairs among tasks; every other
-    pair is proven non-monogenic, by certificate or by classify."""
-    results = _run_tasks(_classify_uncertified, tasks, worker_count)
-    return [rec for rec in results if rec is not None and rec.monogenic]
-
-
 def is_counterexample(rec: ClassificationRecord) -> bool:
     """Violation of: monogenic <=> f in {1, 2}, for e >= 4; the cyclotomic
     match of such a pair is its f (ClassificationRecord.from_index)."""
     return rec.e >= 4 and rec.monogenic != (rec.f in (1, 2))
 
 
-def summarize(spec: ScanSpec, records) -> ScanReport:
+def summarize(spec: ScanSpec, records, pairs: int) -> ScanReport:
     """Derive the monogenic map, missing e, doublets and counterexamples from
-    the records of a full scan of spec; the monogenic records alone decide
-    all but the counterexamples."""
+    records of spec that hold at least its monogenic pairs, of the given
+    number of pairs surveyed."""
     records = tuple(records)
     mono: dict[int, list[int]] = {e: [] for e in range(spec.e_min, spec.e_max + 1)}
     for rec in records:
@@ -180,6 +175,7 @@ def summarize(spec: ScanSpec, records) -> ScanReport:
     counterexamples = tuple(rec for rec in records if is_counterexample(rec))
     return ScanReport(
         spec=spec,
+        pairs=pairs,
         records=records,
         monogenic_map=monogenic_map,
         missing_e=missing_e,
@@ -190,13 +186,22 @@ def summarize(spec: ScanSpec, records) -> ScanReport:
 
 def scan(spec: ScanSpec) -> ScanReport:
     """Classify every pair of spec and summarize the records."""
-    return summarize(spec, _run_tasks(classify, scan_tasks(spec), spec.worker_count))
+    tasks = scan_tasks(spec)
+    return summarize(spec, _run_tasks(classify, tasks, spec.worker_count), len(tasks))
+
+
+def census(spec: ScanSpec) -> ScanReport:
+    """The summary of spec from its monogenic records, which are the report's
+    records; every other pair is proven non-monogenic, by certificate or by
+    classify, and counted in pairs."""
+    tasks = scan_tasks(spec)
+    results = _run_tasks(_classify_uncertified, tasks, spec.worker_count)
+    return summarize(spec, (rec for rec in results if rec is not None and rec.monogenic), len(tasks))
 
 
 def missing_e_census(e_max: int, p_bound: int = 2000, worker_count: int = 1) -> tuple[int, ...]:
     """e in [4, e_max] for which no f with e*f + 1 = p <= p_bound is monogenic."""
-    spec = ScanSpec(e_min=4, e_max=e_max, p_bound=p_bound, worker_count=worker_count)
-    return summarize(spec, _monogenic_records(scan_tasks(spec), worker_count)).missing_e
+    return census(ScanSpec(4, e_max, p_bound, worker_count)).missing_e
 
 
 def doublet_survey(e_max: int, e_min: int = 4) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from periodeq.intpoly import (
 from periodeq.monogeneity import FieldDiscriminant, classify, index_squared
 from periodeq.number_theory import is_prime, make_context, primitive_root
 from periodeq.periods import PrimePeriods, period_polynomial_exact, period_polynomial_modular
-from periodeq.scanner import ScanSpec, cubic_growth, doublet_survey, missing_e_census, scan
+from periodeq.scanner import ScanSpec, census, cubic_growth, doublet_survey, missing_e_census, scan
 
 EXPECTED_MISSING_E_100 = (
     7, 13, 17, 19, 24, 25, 27, 31, 32, 34, 37, 38, 43, 45, 47, 49, 55, 57,
@@ -85,8 +85,14 @@ def test_02_sweep_has_no_counterexamples(sweep_one_worker):
 
 def test_03_missing_e_census_matches():
     missing = missing_e_census(100, 2000)
-    ok = missing == EXPECTED_MISSING_E_100 and len(missing) == 37
-    report(3, ok, "census of e <= 100 with no monogenic f (p <= 2000) equals the frozen 37-element list")
+    counterexamples = census(ScanSpec(4, 100, 2000)).counterexamples
+    ok = missing == EXPECTED_MISSING_E_100 and len(missing) == 37 and counterexamples == ()
+    report(
+        3,
+        ok,
+        "census of e <= 100 with no monogenic f (p <= 2000) equals the frozen 37-element list, "
+        "with 0 counterexamples",
+    )
 
 
 def _index_is_one_by_norms(e: int, f: int) -> bool:
@@ -215,10 +221,11 @@ def test_12_census_reaches_the_papers_degree_250():
         e for e in range(4, 251)
         if not any(e * f + 1 <= 503 and is_prime(e * f + 1) for f in (1, 2))
     )
-    ok = missing == want and elapsed < 30
+    counterexamples = census(ScanSpec(4, 250, 503)).counterexamples
+    ok = missing == want and counterexamples == () and elapsed < 30
     report(
         12,
         ok,
         f"census of e <= 250 (p <= 503) misses exactly the {len(want)} e with neither "
-        f"e + 1 nor 2e + 1 a prime ({elapsed:.1f}s < 30s)",
+        f"e + 1 nor 2e + 1 a prime, with 0 counterexamples ({elapsed:.1f}s < 30s)",
     )

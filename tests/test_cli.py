@@ -290,7 +290,7 @@ def test_csv_rejects_bad_header():
 def assert_json_records_round_trip(report, text):
     # each record of the JSON text of report reads back through
     # record_from_json_dict; the records give back its bytes and its summary
-    again = summarize(report.spec, [record_from_json_dict(d) for d in json.loads(text)["records"]])
+    again = summarize(report.spec, [record_from_json_dict(d) for d in json.loads(text)["records"]], report.pairs)
     assert again.records == report.records
     assert report_to_json(again) == text
     assert (again.missing_e, again.doublets) == (report.missing_e, report.doublets)
@@ -359,7 +359,8 @@ def reports(draw):
     e_min = draw(st.integers(1, 8))
     e_max = draw(st.integers(e_min, e_min + 4))
     spec = ScanSpec(e_min, e_max, draw(st.integers(max(e_max + 1, 3), 60)))
-    return summarize(spec, [draw_record(draw, e, f) for e, f in scan_tasks(spec)])
+    tasks = scan_tasks(spec)
+    return summarize(spec, [draw_record(draw, e, f) for e, f in tasks], len(tasks))
 
 
 @settings(max_examples=30, deadline=None)
@@ -661,6 +662,34 @@ def test_scan_golden_bytes(capsys, fmt, suffix):
     assert out == (GOLDEN / f"scan_e4-6_p20.{suffix}").read_text()
 
 
+def _text_of_every_record(report):
+    """The text summary as written from the records of every pair."""
+    spec = report.spec
+    lines = [
+        f"scanned e in [{spec.e_min}, {spec.e_max}], p <= {spec.p_bound}, "
+        f"mode=full: {len(report.records)} pairs",
+        f"monogenic pairs: {sum(1 for r in report.records if r.monogenic)}",
+        f"missing e: {' '.join(map(str, report.missing_e)) or 'none'}",
+        f"doublets: {' '.join(map(str, report.doublets)) or 'none'}",
+        f"counterexamples: {len(report.counterexamples)}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "e_min, e_max, p_bound, workers",
+    [(4, 6, 20, 1), (1, 60, 1000, 1), (3, 3, 7000, 1), (4, 100, 260, 1), (100, 100, 5000, 1), (4, 60, 364, 2)],
+)
+def test_scan_text_is_the_summary_of_every_record(capsys, e_min, e_max, p_bound, workers):
+    # the text summary reads the monogenic records alone; it prints what a
+    # scan of every pair gives, also at 100/5000, whose csv form stops at
+    # the int-to-str limit
+    argv = ["scan", "--e-range", f"{e_min}:{e_max}", "--p-bound", str(p_bound), "--workers", str(workers)]
+    code, out, err = run(capsys, [*argv, "--format", "text"])
+    report = scan(ScanSpec(e_min, e_max, p_bound, workers))
+    assert (code, out, err) == (3 if report.counterexamples else 0, _text_of_every_record(report), "")
+
+
 def test_scan_single_e_range(capsys):
     code, out, _ = run(capsys, ["scan", "--e-range", "5", "--p-bound", "20"])
     assert code == 0
@@ -699,6 +728,8 @@ def test_scan_counterexample_exit(monkeypatch, capsys):
             match_kind=MatchKind.NO_MATCH,
         )
 
+    # a world with no certificate, which would otherwise settle (4, 3) first
+    monkeypatch.setattr(scanner_mod, "index_certificate", lambda periods, e: None)
     monkeypatch.setattr(scanner_mod, "classify", fake_classify)
     code, out, err = run(capsys, ["scan", "--e-range", "4:4", "--p-bound", "20", "--format", "text"])
     assert code == 3
@@ -720,6 +751,38 @@ def test_scan_internal_contradiction_exits_4(monkeypatch, capsys):
     code, out, err = run(capsys, ["scan", "--e-range", "5:5", "--p-bound", "32"])
     assert code == 4
     assert "(e=5, f=6)" in err and "N_1" in err and "not divisible" in err
+
+
+def test_scan_text_names_the_pair_whose_norms_contradict(monkeypatch, capsys):
+    # with no certificate, the text summary classifies (4, 3) at p = 13 from
+    # its exact norms, and p does not divide N_1 + 1
+    import periodeq.scanner as scanner_mod
+    from periodeq.periods import PrimePeriods
+
+    real = PrimePeriods.norms
+
+    def perturbed(self, e):
+        norms, at_one = real(self, e)
+        return [norms[0] + 1, *norms[1:]], at_one
+
+    monkeypatch.setattr(scanner_mod, "index_certificate", lambda periods, e: None)
+    monkeypatch.setattr(PrimePeriods, "norms", perturbed)
+    code, out, err = run(capsys, ["scan", "--e-range", "4:5", "--p-bound", "32", "--format", "text"])
+    assert code == 4 and out == ""
+    assert "(e=4, f=3)" in err and "N_1" in err and "not divisible" in err
+
+
+def test_scan_text_settles_a_pair_over_the_table_budget_by_certificate(capsys):
+    # (6670, 3), p = 20011, is the one pair: its certificate needs only the
+    # residue prime, while its exact k needs more CRT tables than the budget
+    code, out, err = run(capsys, ["scan", "--e-range", "6670", "--p-bound", "20012", "--format", "text"])
+    assert code == 0 and err == ""
+    assert "mode=full: 1 pairs\nmonogenic pairs: 0\nmissing e: 6670\n" in out
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["scan", "--e-range", "6670", "--p-bound", "20012", "--format", "csv"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert "p = 20011 would need 225 tables of 20010 entries, over the table budget" in err
 
 
 def test_scan_zero_norm_exits_4(monkeypatch, capsys):

@@ -19,7 +19,7 @@ from periodeq.scanner import (
     CubicGrowthReport,
     ScanFailure,
     ScanSpec,
-    _monogenic_records,
+    census,
     cubic_growth,
     doublet_survey,
     is_counterexample,
@@ -67,7 +67,7 @@ def test_small_full_scan_report():
     assert report.counterexamples == ()
     assert keyed[(4, 4)].k == 2 and not keyed[(4, 4)].monogenic
     assert keyed[(6, 2)].match_kind is MatchKind.REDUCED_CYCLOTOMIC
-    assert summarize(report.spec, reversed(report.records)).doublets == (6,)
+    assert summarize(report.spec, reversed(report.records), report.pairs).doublets == (6,)
 
 
 def test_scan_bytes_where_the_bounds_take_fewest_primes():
@@ -138,7 +138,7 @@ def test_census_over_the_extended_interval_p2000():
     # the paper's e <= 250 with primes up to 2000: e is missing exactly when
     # neither e + 1 nor 2e + 1 is prime, as at p <= 503 (acceptance 12)
     spec = ScanSpec(4, 250, 2000)
-    report = summarize(spec, _monogenic_records(scan_tasks(spec), 1))
+    report = census(spec)
     want = tuple(e for e in range(4, 251) if not (is_prime(e + 1) or is_prime(2 * e + 1)))
     assert report.missing_e == want
     # Gras (J. Number Theory 23, 1986, 347-353): a cyclic field of prime degree
@@ -350,9 +350,14 @@ def test_scan_propagates_contradictions(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_summary_paths_equal_what_scan_records_give(workers):
-    # census and doublets against one scan, which holds every (e, 1) and
-    # (e, 2) with e <= 40
+    # census, behind the text summary, and doublets against one scan, which
+    # holds every (e, 1) and (e, 2) with e <= 40
     report = scan(ScanSpec(4, 40, 400, worker_count=workers))
+    counted = census(report.spec)
+    assert counted.records == tuple(r for r in report.records if r.monogenic)
+    assert counted.pairs == report.pairs == len(report.records)
+    for name in ("monogenic_map", "missing_e", "doublets", "counterexamples"):
+        assert getattr(counted, name) == getattr(report, name), name
     assert missing_e_census(40, 400, worker_count=workers) == report.missing_e
     assert missing_e_census(40, 82, worker_count=workers) == scan(ScanSpec(4, 40, 82)).missing_e
     kinds = {(r.e, r.f): r.match_kind for r in report.records if r.monogenic}
