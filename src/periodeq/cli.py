@@ -10,15 +10,15 @@ monogenic as true/false and packs the coefficient vector, highest degree
 first, into one space-separated quoted field.  Integers that can exceed 64
 bits (k, k^2, coefficients) are decimal strings in JSON.  CSV round-trips
 byte for byte through parse_csv_records, and each record of a JSON report
-through record_from_json_dict, which checks the rules on the primary fields,
-builds the record from (e, f, k) with ClassificationRecord.from_index and
-compares the six derived fields with it; a malformed or self-contradictory
-record raises ValueError.  Nothing reads a JSON report as a whole.
+through record_from_json_dict, which reads an integer only as str(n) spells
+it, checks the rules on the primary fields, builds the record from (e, f, k)
+with ClassificationRecord.from_index and compares the six derived fields
+with it; a malformed or self-contradictory record raises ValueError.
+Nothing reads a JSON report as a whole.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -60,10 +60,13 @@ def record_to_json_dict(rec: ClassificationRecord) -> dict:
 
 
 def _wire_int(name: str, v) -> int:
-    """An int, or a decimal string such as "-12", as an int."""
+    """An int, or a decimal string as str(n) spells it, such as "-12", as an
+    int; "+1", "007", "0_4", "5 " or non-ASCII digits would not write back."""
+    if type(v) is int:
+        return v
     try:
-        if type(v) is int or type(v) is str:
-            return int(v)
+        if type(v) is str and str(n := int(v)) == v:
+            return n
     except ValueError:
         pass
     raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -338,7 +341,8 @@ def cmd_table1(args) -> int:
     return 3 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # here, so importing periodeq.cli does not pay for it
     parser = argparse.ArgumentParser(
         prog="periodeq",
         description="Exact Gaussian period equations and monogeneity surveys",

@@ -11,7 +11,7 @@ exact; nothing here touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .number_theory import CompositeP, InternalContradiction, is_prime
 
@@ -28,29 +28,27 @@ class OddDegree(ValueError):
     """Raised when an even-degree polynomial was required."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Real/complex root split of a squarefree polynomial."""
 
     n_real: int
     n_complex_pairs: int
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple("_Coeffs", [("coeffs", tuple[int, ...])])):
     """Immutable dense coefficients over Z, coeffs[i] multiplying x**i: a
     container for the functions below, not a ring (its one operation is derivative)."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
+    def __new__(cls, coeffs=()):
+        c = tuple(coeffs)
         for v in c:
             if not isinstance(v, int):
                 raise TypeError(f"coefficients must be int, got {type(v).__name__}")
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, c)
 
     @classmethod
     def from_high_to_low(cls, seq) -> "IntPoly":

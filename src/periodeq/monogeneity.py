@@ -44,8 +44,8 @@ than the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .intpoly import IntPoly, Signature, halved_cyclotomic_unchecked
 from .number_theory import InternalContradiction, InvalidContext, PrimeContext, is_prime, is_primitive_root
@@ -72,8 +72,7 @@ class MatchKind(str, Enum):
 _MATCH_OF_F = {1: MatchKind.DIRECT_CYCLOTOMIC, 2: MatchKind.REDUCED_CYCLOTOMIC}
 
 
-@dataclass(frozen=True)
-class FieldDiscriminant:
+class FieldDiscriminant(NamedTuple):
     """Discriminant sign * p^exponent of the degree-e subfield."""
 
     sign: int
@@ -172,8 +171,7 @@ def index_certificate(periods: PrimePeriods, e: int) -> int | None:
     return None if _d_sign(e, norm) == sign else q
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """Everything the surveys need to know about one (e, f) pair."""
 
     e: int

@@ -19,10 +19,9 @@ so arithmetic mod q stays in one-digit ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class CompositeP(ValueError):
@@ -172,8 +171,7 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(NamedTuple):
     """Fixed arithmetic data for one pair (e, f) with p = e*f + 1 prime.
 
     g is the smallest primitive root mod p; every derived quantity

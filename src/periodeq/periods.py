@@ -34,11 +34,10 @@ norms' takes about half its bits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 from math import comb, isqrt
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .intpoly import IntPoly
 from .number_theory import (
@@ -77,8 +76,7 @@ def _power_table(base: int, mod: int, n: int) -> list[int]:
     return tab
 
 
-@dataclass(frozen=True)
-class PeriodPolynomial:
+class PeriodPolynomial(NamedTuple):
     """A period polynomial together with the context that produced it."""
 
     ctx: PrimeContext

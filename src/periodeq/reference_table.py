@@ -8,11 +8,10 @@ and compares; any mismatch is a hard verification failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     e: int
     p: int
     n_real: int

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .monogeneity import ClassificationRecord, classify, index_certificate, needs_periods
 from .number_theory import MAX_P, InternalContradiction, InvalidContext, PrimeContext, prime_flags, primitive_root
@@ -50,34 +49,33 @@ class ScanFailure(InternalContradiction):
         return f"(e={self.e}, f={self.f}): {self.message}"
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(NamedTuple("_Spec", [("e_min", int), ("e_max", int), ("p_bound", int), ("worker_count", int)])):
     """Parameters of one survey: e range, prime bound, parallelism.  p_bound
     is at most MAX_P, since PrimePeriods refuses any larger p, so a spec past
     the table budget is refused before any work."""
 
-    e_min: int
-    e_max: int
-    p_bound: int
-    worker_count: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.e_min <= self.e_max:
-            raise InvalidContext(f"need 1 <= e_min <= e_max, got {self.e_min}..{self.e_max}")
-        if not 3 <= self.p_bound <= MAX_P:
+    def __new__(cls, e_min: int, e_max: int, p_bound: int, worker_count: int = 1):
+        if not 1 <= e_min <= e_max:
+            raise InvalidContext(f"need 1 <= e_min <= e_max, got {e_min}..{e_max}")
+        if not 3 <= p_bound <= MAX_P:
             raise InvalidContext(
-                f"p_bound {self.p_bound} is outside [3, MAX_P = {MAX_P}], "
+                f"p_bound {p_bound} is outside [3, MAX_P = {MAX_P}], "
                 "set by the table budget MAX_TABLE_ENTRIES"
             )
-        if self.e_max >= self.p_bound:
+        if e_max >= p_bound:
             # p = e*f + 1 <= p_bound forces e < p_bound: larger e have no pairs
-            raise InvalidContext(f"need e_max < p_bound, got e_max={self.e_max}, p_bound={self.p_bound}")
-        if self.worker_count < 1:
-            raise InvalidContext(f"worker_count must be >= 1, got {self.worker_count}")
+            raise InvalidContext(f"need e_max < p_bound, got e_max={e_max}, p_bound={p_bound}")
+        if worker_count < 1:
+            raise InvalidContext(f"worker_count must be >= 1, got {worker_count}")
+        return super().__new__(cls, e_min, e_max, p_bound, worker_count)
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
+    """A survey of spec over its pairs: the records it keeps (every pair's
+    for scan, the monogenic ones for census) and their summary."""
+
     spec: ScanSpec
     pairs: int
     records: tuple[ClassificationRecord, ...]
@@ -215,8 +213,7 @@ def doublet_survey(e_max: int, e_min: int = 4) -> tuple[int, ...]:
     return tuple(e for e in range(max(e_min, 2), e_max + 1) if flags[e + 1] and flags[2 * e + 1])
 
 
-@dataclass
-class CubicGrowthReport:
+class CubicGrowthReport(NamedTuple):
     """Monogenic counts for e = 3 at increasing prime bounds, with a
     fitted log-log slope (None when there are not enough points)."""
 
@@ -250,8 +247,11 @@ def cubic_growth(p_bound: int, worker_count: int = 1) -> CubicGrowthReport:
     pts = [(math.log10(b), math.log10(c)) for b, c in checkpoints if c > 0]
     slope = None
     if len(pts) >= 2:
+        # least squares as statistics.linear_regression takes it, bit for bit;
         # the checkpoint bounds are distinct, so x is never constant
-        slope = statistics.linear_regression([x for x, _ in pts], [y for _, y in pts]).slope
+        xbar, ybar = (math.fsum(v) / len(pts) for v in zip(*pts))
+        sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
+        slope = sxy / math.fsum((d := x - xbar) * d for x, _ in pts)
     return CubicGrowthReport(
         p_bound=p_bound,
         checkpoints=checkpoints,

@@ -419,6 +419,27 @@ def test_csv_non_integer_field_is_rejected(field):
         parse_csv_records(csv_row(**{field: "4.5"}))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("e", "0_4"), ("f", "+1"), ("p", "5 "), ("g", "02"), ("n_real", "-0"), ("delta_sign", "+1"),
+     ("delta_exponent", " 3"), ("k_squared", "\u0661"), ("k", "01")],
+)
+def test_non_canonical_wire_integer_is_rejected(field, value):
+    # only str(n) writes back to the same bytes, in CSV and in JSON
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        parse_csv_records(csv_row(**{field: value}))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        record_from_json_dict(json_record(**{field: value}))
+
+
+@pytest.mark.parametrize("coeff", ["+1", "01", "1_0", "\uff11"])
+def test_non_canonical_coefficient_is_rejected(coeff):
+    with pytest.raises(ValueError, match="^coeffs must be an integer"):
+        parse_csv_records(csv_row(coeffs=f'"1 {coeff} 1 1 1"'))
+    with pytest.raises(ValueError, match="^coeffs must be an integer"):
+        record_from_json_dict(json_record(coeffs=["1", coeff, "1", "1", "1"]))
+
+
 def test_json_decimal_string_is_read_as_int():
     assert record_from_json_dict(json_record(p="5", e="4", k=1)) == classify(make_context(4, 1))
 

@@ -39,6 +39,7 @@ from periodeq.number_theory import (
     primitive_root,
 )
 from periodeq.periods import PrimePeriods, period_polynomial_modular
+from periodeq.scanner import ScanSpec
 
 
 def contexts_with_p_up_to(p_max, e_fixed=None):
@@ -200,8 +201,28 @@ def test_signature_stored_matches_direct_computation():
 
 
 def test_records_pickle_round_trip():
-    rec = classify(make_context(5, 2))
-    assert pickle.loads(pickle.dumps(rec)) == rec
+    for value in (classify(make_context(5, 2)), ScanSpec(4, 60, 364, 2), IntPoly((1, 2, 0))):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value
+        assert type(again) is type(value)
+
+
+def test_value_types_check_their_fields_and_are_immutable():
+    invalid = [((5, 4, 100), {}), ((), {"e_min": 5, "e_max": 4, "p_bound": 100}), ((4, 60, 364), {"worker_count": 0})]
+    for args, kwargs in invalid:
+        with pytest.raises(InvalidContext):
+            ScanSpec(*args, **kwargs)
+    # unpickling goes through __new__, so a spec that skipped its checks is refused there
+    forged = pickle.dumps(tuple.__new__(ScanSpec, (5, 4, 100, 1)))
+    with pytest.raises(InvalidContext):
+        pickle.loads(forged)
+    assert IntPoly((1, 2, 0)).coeffs == (1, 2)
+    with pytest.raises(TypeError):
+        IntPoly([1.5])
+    for value, field in [(IntPoly((1,)), "coeffs"), (ScanSpec(4, 60, 364), "p_bound"), (make_context(5, 2), "g")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    assert repr(PrimeContext(13, 3, 4, 2)) == "PrimeContext(p=13, e=3, f=4, g=2)"
 
 
 def test_match_requires_exact_polynomial():

@@ -13,7 +13,7 @@ from periodeq.intpoly import IntPoly, Signature
 from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
 import periodeq
 from periodeq.cli import records_to_csv
-from periodeq.number_theory import PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
+from periodeq.number_theory import MAX_P, PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
 from periodeq.periods import MAX_TABLE_ENTRIES, PrimePeriods
 from periodeq.scanner import (
     CubicGrowthReport,
@@ -206,12 +206,32 @@ def test_surveys_prove_each_prime_once(monkeypatch):
     assert elsewhere == []
 
 
-def test_serial_import_leaves_multiprocessing_out():
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of code run by a new interpreter that imports this periodeq."""
     src = str(Path(periodeq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_serial_import_leaves_multiprocessing_out():
     code = "import sys, periodeq, periodeq.cli; print('multiprocessing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code).strip() == "False"
+
+
+def test_import_leaves_dataclasses_statistics_and_argparse_out():
+    # start-up budget: the value types are NamedTuples, cubic_growth fits its
+    # slope with math.fsum and build_parser imports argparse; only modules
+    # that the import itself adds count, not those the site loaded before it
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import periodeq, periodeq.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'statistics', 'argparse'} & (sys.modules.keys() - before)))\n"
+        "print(periodeq.cli.main(['doublets', '--e-max', '40']))\n"
+    )
+    lines = _fresh_interpreter(code).splitlines()
+    assert lines[0] == "[]"
+    assert lines[1:] == ["6 18 30 36", "count for 4 <= e <= 40: 4", "0"]
 
 
 def _record(e, f, monogenic, match):
@@ -259,6 +279,13 @@ def test_cubic_growth_to_10_5():
     report = cubic_growth(10**5)
     assert report.checkpoints == ((100, 6), (1000, 14), (10000, 32), (100000, 81))
     assert report.total_pairs == 4784
+
+
+@pytest.mark.parametrize("bound", [1000, 7000, 10**5, 10**6, MAX_P])
+def test_cubic_slope_is_linear_regression_bit_for_bit(bound):
+    growth = cubic_growth(bound)
+    xs, ys = zip(*((math.log10(b), math.log10(c)) for b, c in growth.checkpoints))
+    assert growth.slope == statistics.linear_regression(xs, ys).slope
 
 
 def test_prime_periods_are_built_only_for_pairs_that_need_periods(monkeypatch):
