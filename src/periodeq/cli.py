@@ -311,8 +311,8 @@ def cmd_doublets(args) -> int:
     print(" ".join(map(str, found)))
     print(f"count for {args.e_min} <= e <= {args.e_max}: {len(found)}")
     if args.e_min > 2:
-        wide = doublet_survey(args.e_max, e_min=2)
-        print(f"count for 2 <= e <= {args.e_max}: {len(wide)}", file=sys.stderr)
+        wide = len(found) + len(doublet_survey(args.e_min - 1, e_min=2))  # sieves to 2 e_min - 1 only
+        print(f"count for 2 <= e <= {args.e_max}: {wide}", file=sys.stderr)
     return 0
 
 

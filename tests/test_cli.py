@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodeq import scanner
 from periodeq.cli import (
     CSV_HEADER,
     main,
@@ -832,6 +833,23 @@ def test_doublets_command(capsys):
     assert out.splitlines()[0] == "6 18 30 36"
     assert "count for 4 <= e <= 40: 4" in out
     assert "count for 2 <= e <= 40: 5" in err
+
+
+def test_doublets_sieve_to_2_e_max_plus_1_once(capsys, monkeypatch):
+    # the count from e = 2 adds the doublets below e_min, from a sieve to 2 e_min - 1
+    sieves = []
+    real = scanner.prime_flags
+
+    def counted(n):
+        sieves.append(n)
+        return real(n)
+
+    monkeypatch.setattr(scanner, "prime_flags", counted)
+    code, out, err = run(capsys, ["doublets", "--e-max", "10000"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["count for 4 <= e <= 10000: 187"]
+    assert err == "count for 2 <= e <= 10000: 188\n"
+    assert sieves == [20001, 7]
 
 
 def test_doublets_from_e_min_1(capsys):

@@ -315,7 +315,9 @@ def test_discriminant_and_signature_on_period_polynomials():
             f = (p - 1) // e
             P = period_polynomial_modular(make_context(e, f)).poly
             disc, sig = discriminant_and_signature(P)
-            assert (disc, sig) == (discriminant(P), signature(P)), (e, f)
+            if p <= 31:
+                # the wrappers run the same chain again; other tests cover them at every size
+                assert (disc, sig) == (discriminant(P), signature(P)), (e, f)
             # independent checks: the parity law, and D = k^2 * (+-p^(e-1))
             assert sig.n_real == (e if f % 2 == 0 else 0), (e, f)
             index_squared(disc, field_discriminant(e, f, p))
