@@ -5,6 +5,7 @@ captured output block) and asserts the same condition, so the suite both
 documents and enforces every headline claim of the package.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -81,6 +82,14 @@ def test_02_sweep_has_no_counterexamples(sweep_one_worker):
         f"e in [4,60], p <= 5000: {len(result.records)} pairs, "
         f"0 counterexamples ({elapsed:.0f}s < 1800s)",
     )
+
+
+def test_02_sweep_csv_keeps_its_bytes(sweep_one_worker):
+    # the sha256 of `scan --e-range 4:60 --p-bound 5000`'s CSV, taken at
+    # commit 8527a90
+    result, _ = sweep_one_worker
+    digest = hashlib.sha256(records_to_csv(result.records).encode()).hexdigest()
+    assert digest == "ca3aefaa48ee2ccd418ed78935a317b0d7b5a5353c1e8ccffe4392124cb9869e"
 
 
 def test_03_missing_e_census_matches():

@@ -807,6 +807,23 @@ def test_scan_text_settles_a_pair_over_the_table_budget_by_certificate(capsys):
     assert "p = 20011 would need 225 tables of 20010 entries, over the table budget" in err
 
 
+def test_scan_text_to_e_250_keeps_its_lines(capsys):
+    # the five lines of the census that README's "Reproducing" section
+    # quotes, as printed at commit 8527a90: the missing e are those with
+    # neither e + 1 nor 2e + 1 prime
+    code, out, err = run(capsys, ["scan", "--e-range", "4:250", "--p-bound", "10000", "--format", "text"])
+    missing = [e for e in range(4, 251) if not is_prime(e + 1) and not is_prime(2 * e + 1)]
+    assert len(missing) == 115
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "scanned e in [4, 250], p <= 10000, mode=full: 9833 pairs",
+        "monogenic pairs: 143",
+        "missing e: " + " ".join(map(str, missing)),
+        "doublets: 6 18 30 36 78 96 138 156 198 210 228",
+        "counterexamples: 0",
+    ]
+
+
 def test_scan_zero_norm_exits_4(monkeypatch, capsys):
     from periodeq.periods import PrimePeriods
 
