@@ -307,12 +307,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_doublets(args) -> int:
-    found = doublet_survey(args.e_max, e_min=args.e_min)
+    ScanSpec(args.e_min, args.e_max, 2 * args.e_max + 1)  # doublet_survey's check of --e-min
+    every = doublet_survey(args.e_max, e_min=1)  # one sieve, to 2 e_max + 1, for both counts
+    found = [e for e in every if e >= args.e_min]
     print(" ".join(map(str, found)))
     print(f"count for {args.e_min} <= e <= {args.e_max}: {len(found)}")
     if args.e_min > 2:
-        wide = len(found) + len(doublet_survey(args.e_min - 1, e_min=2))  # sieves to 2 e_min - 1 only
-        print(f"count for 2 <= e <= {args.e_max}: {wide}", file=sys.stderr)
+        print(f"count for 2 <= e <= {args.e_max}: {len(every)}", file=sys.stderr)
     return 0
 
 

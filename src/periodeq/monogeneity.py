@@ -263,8 +263,8 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     and Gauss's closed form for any other cubic, whose k from D of its
     coefficients must equal |M|, as D = p^2 M^2.  Only a pair that
     needs_periods reads periods, the shared builder of ctx.p (a scan passes
-    one per p), or else a fresh one: psi from its product tree and k from
-    the Galois norms of its periods (PrimePeriods.norms), which
+    one per p), or else a fresh one sized for e: psi from its product tree
+    and k from the Galois norms of its periods (PrimePeriods.norms), which
     psi(1) == prod (1 - eta_i) ties to psi.  ClassificationRecord.from_index
     derives the rest from k.
     """
@@ -274,7 +274,7 @@ def classify(ctx: PrimeContext, periods: PrimePeriods | None = None) -> Classifi
     if e < 1 or f < 1 or p != e * f + 1:
         raise InvalidContext(f"(e={e}, f={f}, p={p}) is not a valid period context")
     if needs_periods(e, f) and periods is None:
-        periods = PrimePeriods(p, ctx.g)
+        periods = PrimePeriods(p, ctx.g, e)
     psi, k = psi_and_index(ctx, periods)
     if k is None:
         norms, at_one = periods.norms(e)

@@ -86,8 +86,9 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # factored by trial alone.
 TRIAL_LIMIT = 1 << 16
 
-# The most table entries a PrimePeriods may hold: its table of g^t mod p and
-# one table per CRT prime, p - 1 entries each.  The largest pair of e <= 250,
+# The table budget of a PrimePeriods, in entries: p - 1 for its table of
+# g^t mod p and p - 1 per CRT prime, one digit of each entry of its table
+# modulo the product of the primes.  The largest pair of e <= 250,
 # p <= 10**5 is e = 250, p = 99251, whose norms take 42 primes: 4267750.
 MAX_TABLE_ENTRIES = 4_500_000
 # The largest p of every entry point: its g table and one CRT table fit

@@ -8,17 +8,17 @@ the power sums of the periods, which count the sums of elements of the
 subgroup of order f, and Newton's identities, and one modular, modulo a
 product M of CRT primes that exceeds twice a proven coefficient bound.  The
 modular one is organised by p: one PrimePeriods finds the CRT primes and the
-root-of-unity tables of p once and builds psi_e for every e | p - 1 from
-them, so a survey that visits many e of one p pays for those tables once.
-It reconstructs the e periods mod M from their sums mod each prime and
-multiplies out prod (x - eta_i) once, modulo M, by a product tree whose
-levels multiply packed ints (Kronecker substitution).  Continued to the
-norms' bound, the same reconstruction gives the Galois norms of the period
-differences exactly (norms, by the one loop galois_norms).  Its first step
-is the plain slice sums modulo the first CRT prime q, with no Garner
-arithmetic; those periods mod q (period_residues) and Euler's criterion mod
-q, taken once per prime (residue_symbol), are all a monogenicity
-certificate needs.
+power tables of p once and builds psi_e for every e | p - 1 from them, so a
+survey that visits many e of one p pays for those tables once.  The roots of
+order p modulo the CRT primes combine by CRT into one root w of order p
+modulo M, so the e periods mod M are slice sums of one table of powers of
+w, and prod (x - eta_i) is multiplied out once, modulo M, by a product tree
+whose levels multiply packed ints (Kronecker substitution).  Taken modulo
+the norms' bound, the same periods give the Galois norms of the period
+differences exactly (norms, by the one loop galois_norms).  The first CRT
+prime q keeps its own table: the periods mod q, its plain slice sums
+(period_residues), and Euler's criterion mod q, taken once per prime
+(residue_symbol), are all a monogenicity certificate needs.
 
 Both bounds that size M come from two exact identities of the periods
 (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2), which follow
@@ -143,6 +143,12 @@ def coefficient_bound(ctx: PrimeContext) -> int:
     return isqrt(comb(e, j) ** 2 * excess**j // e**j)
 
 
+def _norm_bound(p: int, e: int) -> int:
+    """isqrt((2p)^e // e^e), which bounds |N_d| and |psi_e(1)|
+    (PrimePeriods.norms)."""
+    return isqrt((2 * p) ** e // e**e)
+
+
 _LEAF = 8  # linear factors per leaf of _product_mod's tree
 
 
@@ -201,75 +207,84 @@ def _product_mod(etas: list[int], mod: int) -> list[int]:
 class PrimePeriods:
     """Every period polynomial of one prime p, built modulo shared primes.
 
-    The CRT primes q ≡ 1 (mod 2p) just above 2**29 are searched once per p,
-    and for each q one table ys[t] = w^(g^t mod p) mod q is kept, w of order
-    p in GF(q)*, gathered by itemgetter from the powers of w (_power_table
-    builds those and the powers of g by seeded doubling).  The e-periods
-    mod q are then the sums ys[i::e], for every divisor e of p - 1.  Below
-    2**30 each q is one CPython digit, so every table entry and period sum
-    is a one-digit int and % q takes the interpreter's single-digit path; a
-    prime then carries only about 29 bits of the CRT modulus, so a large e
-    needs about twice as many tables as with 62-bit primes.  How many primes
-    n psi_e uses is fixed in advance by its coefficient bound (M = the
-    product of the n moduli must exceed twice the bound), so the
-    reconstruction is deterministic, with no early termination to get lucky
-    on; the builder adds the first prime, the residue prime, and larger e
-    add the others.  Sending zeta to the w's, combined by CRT,
-    is a ring map Z[zeta] -> Z/M, so the periods are first combined into
-    eta_i mod M (Garner's step on e sums) and the product of the e linear
-    factors is taken once, modulo M, whatever n is, by the product tree of
-    _product_mod; the symmetric lift of its coefficients is psi_e.  norms
-    continues the same Garner step (_periods_mod) to its own bound,
-    (2p/e)^(e/2).  The reconstruction of each e starts from the plain slice
-    sums mod the first prime, kept; period_residues reads them, and a later
-    polynomial(e) or norms(e) continues from the second prime.  Both bounds
-    rest on the identities sum_i |eta_i|^2 = p - f and
-    sum_i |eta_i - eta_(i+d)|^2 = 2p (module docstring), not on the worst
-    case |eta_i| <= f, which asks for about twice the bits.  The primes a
-    bound asks for are searched before their tables, so a bound whose tables
-    would take the entries past MAX_TABLE_ENTRIES is refused, with
-    InvalidContext, before any of them is built; so is every p > MAX_P,
-    before g is tested.
+    The CRT primes q ≡ 1 (mod 2p) just above 2**29 are searched once per p.
+    Modulo each q, w_q = z^((q - 1)/p) for the first z where it is != 1 has
+    order p, and the w_q of the first n primes combine by CRT into one w of
+    order p modulo their product M.  One table ys[t] = w^(g^t mod p) mod M
+    is gathered by itemgetter from the powers of w (_power_table builds
+    those and the powers of g by seeded doubling), and the e-periods mod M
+    are the slice sums ys[i::e], for every divisor e of p - 1, as sending
+    zeta to w is a ring map Z[zeta] -> Z/M.  How many primes n psi_e uses is
+    fixed in advance by its coefficient bound (M must exceed twice it), so
+    the reconstruction is deterministic, with no early termination to get
+    lucky on; the product of the e linear factors is taken once, modulo M,
+    by the product tree of _product_mod, and the symmetric lift of its
+    coefficients is psi_e.  norms takes the periods modulo the M of its own
+    bound, (2p/e)^(e/2).  Both bounds rest on the identities
+    sum_i |eta_i|^2 = p - f and sum_i |eta_i - eta_(i+d)|^2 = 2p (module
+    docstring), not on the worst case |eta_i| <= f, which asks for about
+    twice the bits.
+
+    The table modulo M is built at the first bound that asks for more than
+    the first prime, for the larger of that bound and both bounds of e_max,
+    the largest e its caller will ask for: classify passes its own e, and a
+    scan the largest e of p that needs_periods.  A later, larger bound
+    builds it again for its own primes.  A table modulo M serves every
+    bound whose modulus divides M, each period sum reduced mod that modulus.
+
+    The first prime q, residue_prime, keeps its own table, of one-digit
+    ints below 2**30, whose slice sums mod q take the interpreter's
+    single-digit path; period_residues reads it, and so does every bound
+    that one prime covers.  The primes a bound asks for are searched before
+    any table is built, and counted as n + 1 tables of p - 1 entries (the g
+    table, and one digit per prime in each entry of the table modulo M),
+    so a bound past MAX_TABLE_ENTRIES is refused, with InvalidContext,
+    before its table is built; a plan for e_max past it is dropped, and
+    each bound is refused on its own.  So is every p > MAX_P, before g is
+    tested.
     """
 
-    def __init__(self, p: int, g: int):
+    def __init__(self, p: int, g: int, e_max: int | None = None):
         _check_table_budget(p, 2)  # the g table and the residue prime's
         # p an odd prime and g of order p - 1, else the classes ys[i::e] are not the periods
         if not is_primitive_root(g, p):
             raise InvalidContext(f"g = {g} is not a primitive root mod an odd prime p = {p}")
         self.p = p
         self.g = g
+        self._e_max = e_max
         # for odd p, the odd q ≡ 1 (mod p) are exactly the q ≡ 1 (mod 2p)
         self._candidates = primes_in_progression(2 * p)
         self._tab = _power_table(g, p, p - 1)
-        self._primes: list[int] = []
-        self._ys: list[tuple[int, ...]] = []
-        # CRT data: _moduli[k] is the product of the first k primes, and
-        # _inverses[k] the inverse of _moduli[k] modulo the k-th prime
-        self._moduli = [1]
-        self._inverses: list[int] = []
-        # per e, the furthest reconstruction (n, [eta_i mod _moduli[n]])
-        self._etas: dict[int, tuple[int, list[int]]] = {}
+        self._primes = [next(self._candidates)]
+        # the residue prime's table, and the widest table with its number of
+        # primes, the same one until a bound asks for a second prime
+        self._residues = self._ys = self._gather(1)
+        self._width = 1
         # per integer a, a^((q - 1)/2) mod q lifted, for q = residue_prime
         self._symbols: dict[int, int] = {}
-        self._add_prime()
 
-    def _next_prime(self) -> None:
-        """The next CRT prime and its CRT data, with no table."""
-        q = next(self._candidates)
-        modulus = self._moduli[-1]
-        self._primes.append(q)
-        self._inverses.append(pow(modulus % q, -1, q))
-        self._moduli.append(modulus * q)
+    def _gather(self, n: int) -> tuple[int, ...]:
+        """ys[t] = w^(g^t mod p) mod M for M the product of the first n
+        primes, w the CRT combination of the w_q of order p."""
+        p, w, mod = self.p, 0, 1
+        for q in self._primes[:n]:
+            w_q = next(w_q for w_q in (pow(z, (q - 1) // p, q) for z in count(2)) if w_q != 1)
+            w += mod * ((w_q - w) * pow(mod, -1, q) % q)
+            mod *= q
+        return itemgetter(*self._tab)(_power_table(w, mod, p))
 
-    def _add_prime(self) -> None:
-        """The table ys of the first CRT prime without one, searched if new."""
-        if len(self._ys) == len(self._primes):
-            self._next_prime()
-        p, q = self.p, self._primes[len(self._ys)]
-        # element of order p in GF(q)*: z^((q-1)/p) for the first z where it is != 1
-        w = next(w for w in (pow(z, (q - 1) // p, q) for z in count(2)) if w != 1)
-        self._ys.append(itemgetter(*self._tab)(_power_table(w, q, p)))
+    def _primes_for(self, bound: int) -> tuple[int, int]:
+        """(n, M) for M the product of the fewest primes, at least one, with
+        M > 2 * bound; each count is checked against the budget before the
+        next prime is searched, and no table is built."""
+        n, mod = 1, self._primes[0]
+        while mod <= 2 * bound:
+            n += 1
+            _check_table_budget(self.p, n + 1)
+            if n > len(self._primes):
+                self._primes.append(next(self._candidates))
+            mod *= self._primes[n - 1]
+        return n, mod
 
     def _check_divisor(self, e: int) -> None:
         if e < 1 or (self.p - 1) % e:
@@ -290,60 +305,35 @@ class PrimePeriods:
         return symbol
 
     def period_residues(self, e: int) -> list[int]:
-        """[eta_0, ..., eta_(e-1)] modulo q = residue_prime, for e | p - 1, as
-        a fresh list.
+        """[eta_0, ..., eta_(e-1)] modulo q = residue_prime, for e | p - 1.
 
         The images come from the ring map Z[zeta] -> GF(q) that sends zeta to
-        w, so any integer polynomial in the periods (psi_e's coefficients,
+        w_q, so any integer polynomial in the periods (psi_e's coefficients,
         the Galois norms) reduces mod q to the same polynomial in them.  They
-        are the plain slice sums of the first table, mod q, which _kept_etas
-        keeps as the first step of e, so a later polynomial(e) continues them;
-        after one, the kept periods mod M are reduced mod q.
+        are the plain slice sums of the residue prime's table, mod q.
         """
         self._check_divisor(e)
-        n, etas = self._kept_etas(e)
-        if n == 1:
-            return etas[:]
-        q = self._primes[0]
-        return [val % q for val in etas]
-
-    def _kept_etas(self, e: int) -> tuple[int, list[int]]:
-        """The furthest reconstruction of e kept, else the first one,
-        (1, [sum(ys[i::e]) % q]) at the first prime q, which is then kept."""
-        kept = self._etas.get(e)
-        if kept is None:
-            q, ys = self._primes[0], self._ys[0]
-            kept = self._etas[e] = (1, [sum(ys[i::e]) % q for i in range(e)])
-        return kept
+        q, ys = self._primes[0], self._residues
+        return [sum(ys[i::e]) % q for i in range(e)]
 
     def _periods_mod(self, e: int, bound: int) -> tuple[list[int], int]:
         """([eta_0, ..., eta_(e-1)] mod M, M) for a divisor e of p - 1, where M
         is the product of the fewest shared primes, at least one, with
         M > 2 * bound, so an integer of absolute value at most bound lifts
-        exactly from mod M.
-
-        The first prime's plain slice sums start each e (_kept_etas), and
-        Garner's step gives eta_i mod _moduli[k] in [0, _moduli[k]) after its
-        k-th prime, so the furthest reconstruction of each e is kept: a
-        larger bound continues it, and a smaller one reduces it mod M.
+        exactly from mod M: the slice sums of the table, reduced mod M.
         """
-        n = 1
-        while self._moduli[n] <= 2 * bound:
-            n += 1
-            # counted from the primes, which take milliseconds, before any table
-            _check_table_budget(self.p, n + 1)
-            if n > len(self._primes):
-                self._next_prime()
-        while len(self._ys) < n:
-            self._add_prime()
-        done, etas = self._kept_etas(e)
-        for k in range(done, n):
-            q, ys, mod, inv = self._primes[k], self._ys[k], self._moduli[k], self._inverses[k]
-            etas = [val + mod * ((sum(ys[i::e]) - val) * inv % q) for i, val in enumerate(etas)]
-        if n > done:
-            self._etas[e] = (n, etas)
-        mod = self._moduli[n]
-        return [val % mod for val in etas], mod
+        n, mod = self._primes_for(bound)
+        if n > self._width:
+            self._width = n
+            if self._e_max is not None:
+                ctx = PrimeContext(self.p, self._e_max, (self.p - 1) // self._e_max, self.g)
+                try:
+                    self._width = max(n, self._primes_for(max(coefficient_bound(ctx), _norm_bound(self.p, ctx.e)))[0])
+                except InvalidContext:  # a plan past the budget: each bound is refused on its own
+                    pass
+            self._ys = self._gather(self._width)
+        ys = self._ys if n > 1 else self._residues
+        return [sum(ys[i::e]) % mod for i in range(e)], mod
 
     def polynomial(self, e: int) -> PeriodPolynomial:
         """psi_e for a divisor e of p - 1, multiplied out by a product tree
@@ -367,7 +357,7 @@ class PrimePeriods:
         2p/e <= 4f^2, the bound never exceeds the worst case (2f)^e of
         periods that are sums of f roots of unity."""
         self._check_divisor(e)
-        etas, mod = self._periods_mod(e, isqrt((2 * self.p) ** e // e**e))
+        etas, mod = self._periods_mod(e, _norm_bound(self.p, e))
         at_one = 1
         for eta in etas:
             at_one = at_one * (1 - eta) % mod

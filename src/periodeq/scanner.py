@@ -4,9 +4,9 @@ doublets by the primality rule, and the cubic growth curve by Gauss's rule.
 scan_tasks lists a spec's pairs e-major, the order of every report, with
 the primes of the whole range from one sieve.  A work unit is one prime p:
 every (e, f) pair of that p is handled from one shared PrimePeriods, built
-at the first pair that needs one and dropped before the next p's, so a
-survey holds the task list, the results and, per worker, one prime's
-tables.  Only a pair that needs_periods reads one, so a
+at the first pair that needs one, sized for the largest e of p that does,
+and dropped before the next p's, so a survey holds the task list, the
+results and, per worker, one prime's tables.  Only a pair that needs_periods reads one, so a
 prime whose pairs are all f <= 2 or e = 3, which classify writes down in
 closed form, builds no table.
 Results are merged back into the tasks' order whatever the worker count, so
@@ -99,8 +99,9 @@ def scan_tasks(spec: ScanSpec) -> list[tuple[int, int]]:
 
 def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
     """step(ctx, periods) for pairs that share one p, with one PrimePeriods
-    built at the first pair that needs_periods (until then periods is None);
-    a contradiction is tagged with the pair that hit it."""
+    built at the first pair that needs_periods (until then periods is None),
+    sized for the largest e that does; a contradiction is tagged with the
+    pair that hit it."""
     e, f = tasks[0]
     p = e * f + 1
     g = primitive_root(p)
@@ -109,7 +110,7 @@ def _per_pair(step, tasks: list[tuple[int, int]]) -> list:
     for e, f in tasks:
         try:
             if periods is None and needs_periods(e, f):
-                periods = PrimePeriods(p, g)
+                periods = PrimePeriods(p, g, max(d for d, h in tasks if needs_periods(d, h)))
             out.append(step(PrimeContext(p, e, f, g), periods))
         except InternalContradiction as exc:
             raise ScanFailure(e, f, str(exc)) from exc

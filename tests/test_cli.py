@@ -853,7 +853,7 @@ def test_doublets_command(capsys):
 
 
 def test_doublets_sieve_to_2_e_max_plus_1_once(capsys, monkeypatch):
-    # the count from e = 2 adds the doublets below e_min, from a sieve to 2 e_min - 1
+    # both counts come from the one sieve to 2 e_max + 1
     sieves = []
     real = scanner.prime_flags
 
@@ -866,7 +866,7 @@ def test_doublets_sieve_to_2_e_max_plus_1_once(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[1:] == ["count for 4 <= e <= 10000: 187"]
     assert err == "count for 2 <= e <= 10000: 188\n"
-    assert sieves == [20001, 7]
+    assert sieves == [20001]
 
 
 def test_doublets_from_e_min_1(capsys):

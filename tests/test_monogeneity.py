@@ -441,17 +441,16 @@ def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
     assert len(contexts) == 514 and certified > 0
 
 
-def test_classify_continues_the_certificate_residues():
-    # the certificate's residues are the plain slice sums that start each e,
-    # kept, so classify goes on from the second prime and never reads the
-    # first prime's table again; f = 1 and 2 are the matched shapes, the rest not
+def test_classify_after_the_certificate_equals_a_fresh_classify():
+    # the certificate reads the residue prime's table alone, and classify
+    # builds its periods from the table modulo M whether or not the
+    # certificate came first; f = 1 and 2 are the matched shapes, the rest not
     for p in (101, 193):
         divisors = [e for e in range(1, p) if (p - 1) % e == 0]
         shared = PrimePeriods(p, primitive_root(p))
         for e in divisors:
             index_certificate(shared, e)
-            assert shared._etas[e][0] == 1, (p, e)
-        shared._ys[0] = None  # a sum over the first table would raise TypeError
+        assert shared._width == 1  # no table modulo M yet
         kinds = set()
         for e in divisors:
             ctx = make_context(e, (p - 1) // e)
@@ -459,7 +458,7 @@ def test_classify_continues_the_certificate_residues():
             assert rec == classify(ctx), (p, e)
             kinds.add(rec.match_kind)
         assert kinds == set(MatchKind)
-        assert max(n for n, _ in shared._etas.values()) > 1
+        assert shared._width > 1
 
 
 def test_each_norm_is_a_multiple_of_p_and_k_is_1_iff_each_is_p():

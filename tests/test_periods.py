@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -136,7 +137,8 @@ def test_coefficient_bound_holds_and_is_nearly_attained_up_to_p400():
 def test_norm_bound_holds_and_is_nearly_attained_up_to_p400():
     # the norms and psi(1) lifted from the worst-case modulus M > 2 (2f)^e
     # lie within isqrt((2p)^e // e^e) and equal what norms(e) lifts from
-    # the fewest primes above twice that bound; a largest ratio above 0.99
+    # the product of the fewest primes above twice that bound, the modulus
+    # that _periods_mod returns for it; a largest ratio above 0.99
     # at e >= 4 leaves no room for a tighter bound: (p, e) = (293, 4)
     # reaches 0.9966
     worst = Fraction(0)
@@ -155,7 +157,8 @@ def test_norm_bound_holds_and_is_nearly_attained_up_to_p400():
             assert bound <= (2 * f) ** e, (p, e)
             assert all(abs(n) <= bound for n in (*norms, at_one)), (p, e)
             assert periods.norms(e) == (norms, at_one), (p, e)
-            assert periods._etas[e][0] == _fewest_primes(periods._primes, bound), (p, e)
+            n = _fewest_primes(periods._primes, bound)
+            assert periods._periods_mod(e, bound)[1] == math.prod(periods._primes[:n]), (p, e)
             if e >= 4:
                 worst = max(worst, *(Fraction(abs(n), bound) for n in norms))
     assert worst > 0.99
@@ -299,10 +302,11 @@ def test_prime_periods_at_large_e_and_above_p300():
 
 
 def test_norms_and_polynomial_do_not_depend_on_call_order():
-    # each e keeps its furthest Garner reconstruction: norms continues the
-    # one polynomial left, and polynomial reduces the one norms left, so the
-    # list of exact norms and psi(1) are the same in either order; f = 1 and
-    # 2 are the matched shapes, the rest unmatched
+    # the table built for the first bound serves a smaller one, reduced mod
+    # its modulus, and a larger one builds it again, so the list of exact
+    # norms and psi(1) are the same in either order, and the table holds
+    # every prime either bound asked for; f = 1 and 2 are the matched
+    # shapes, the rest unmatched
     for p in (11, 31, 61, 101, 193):
         g = primitive_root(p)
         divisors = [d for d in range(1, p) if (p - 1) % d == 0]
@@ -312,7 +316,7 @@ def test_norms_and_polynomial_do_not_depend_on_call_order():
             poly_first, norms_first = PrimePeriods(p, g), PrimePeriods(p, g)
             assert poly_first.polynomial(e) == want[e][0] and poly_first.norms(e) == want[e][1], (p, e)
             assert norms_first.norms(e) == want[e][1] and norms_first.polynomial(e) == want[e][0], (p, e)
-            assert norms_first._etas[e][0] == len(norms_first._primes), (p, e)
+            assert norms_first._width == len(norms_first._primes), (p, e)
             assert (shared.polynomial(e), shared.norms(e), shared.polynomial(e)) == (*want[e], want[e][0])
 
 
@@ -324,9 +328,9 @@ def test_prime_periods_crt_primes_step_by_p():
             if is_prime(q):
                 want.append(q)
             q += p
-        periods = PrimePeriods(p, primitive_root(p))  # adds the first prime
-        for _ in range(2):
-            periods._add_prime()
+        periods = PrimePeriods(p, primitive_root(p))  # finds the first prime
+        # M = q_1 q_2 does not exceed twice this bound, so a third prime is found
+        assert periods._primes_for(want[0] * want[1]) == (3, math.prod(want)), p
         assert periods._primes == want, p
 
 
@@ -350,14 +354,20 @@ def test_prime_periods_validation():
 def test_table_budget_refuses_the_table_that_would_cross_it(monkeypatch):
     import periodeq.periods as periods_mod
 
-    # three tables of p - 1 = 66 entries fit: the g table and two CRT tables
+    # three tables of p - 1 = 66 entries fit: the g table and two CRT primes'
+    # worth, here one table modulo two primes, for psi_33
     monkeypatch.setattr(periods_mod, "MAX_TABLE_ENTRIES", 3 * 66)
+    built = []
+    real = periods_mod._power_table
+    monkeypatch.setattr(periods_mod, "_power_table", lambda base, mod, n: built.append(mod) or real(base, mod, n))
     periods = PrimePeriods(67, primitive_root(67))
-    periods._add_prime()
+    periods.polynomial(33)
+    q_1, q_2 = periods._primes
+    assert built == [67, q_1, q_1 * q_2]
     # psi_66 = Phi_67, whose middle coefficient C(66, 33) > 2^62, takes a third
     with pytest.raises(InvalidContext, match="4 tables of 66 entries, over the table budget"):
         periods.polynomial(66)
-    assert len(periods._ys) == 2
+    assert built == [67, q_1, q_1 * q_2]  # no wider table was built
     # a larger p is refused before its g table is built
     with pytest.raises(InvalidContext, match="2 tables of 100 entries"):
         PrimePeriods(101, primitive_root(101))
@@ -388,30 +398,29 @@ def test_period_residues_are_the_roots_of_psi_mod_q():
 
 
 def test_period_residues_are_kept_slice_sums_in_any_call_order():
-    # the residues are the plain slice sums of the first table mod q, kept as
-    # the first step of e: a fresh list of the same values before and after
-    # polynomial and norms carry e past the first prime, and polynomial and
+    # the residues are the periods mod q from their definition, the same
+    # fresh list before and after polynomial and norms, and the periods mod
+    # M of a table modulo many primes reduce mod q to them; polynomial and
     # norms are the same whether or not the certificate's residues came first
     from periodeq.monogeneity import index_certificate
 
     for p in (101, 193, 359):
         g = primitive_root(p)
         cert_first, cert_last = PrimePeriods(p, g), PrimePeriods(p, g)
-        q, carried = cert_first.residue_prime, 0
+        q, w = cert_first.residue_prime, cert_first._residues[0]
         for e in (d for d in range(1, p) if (p - 1) % d == 0):
-            want = [sum(cert_first._ys[0][i::e]) % q for i in range(e)]
+            want = [sum(pow(w, pow(g, k * e + i, p), q) for k in range((p - 1) // e)) % q for i in range(e)]
             index_certificate(cert_first, e)
             before = cert_first.period_residues(e)
             built = (cert_first.polynomial(e), cert_first.norms(e))
             assert (cert_last.polynomial(e), cert_last.norms(e)) == built, (p, e)
             after, last = cert_first.period_residues(e), cert_last.period_residues(e)
             assert before == after == last == want, (p, e)
-            carried += cert_first._etas[e][0] > 1
+            etas, mod = cert_first._periods_mod(e, 1 << 200)
+            assert mod > q and [eta % q for eta in etas] == want, (p, e)
             for fresh, kept in ((before, cert_first), (after, cert_first), (last, cert_last)):
-                assert fresh is not kept._etas[e][1]
-                fresh[0] += q  # a caller's change never reaches the kept periods
+                fresh[0] += q  # a caller's change never reaches the table
                 assert kept.period_residues(e) == want, (p, e)
-        assert carried > 1, p  # past the first prime, the kept periods are mod M
 
 
 # -- power tables ------------------------------------------------------------
@@ -430,24 +439,31 @@ def test_power_table_equals_the_product_chain():
 
 
 def test_prime_periods_at_the_smallest_gathers():
-    # at p = 3 the table ys gathers two entries, at p = 5 four
+    # at p = 3 each table gathers two entries, at p = 5 four; a bound of
+    # 2^40 takes a table modulo two primes, whose one period sums to -1
     for p in (3, 5):
         periods = PrimePeriods(p, primitive_root(p))
         for e in (d for d in range(1, p) if (p - 1) % d == 0):
             ctx = make_context(e, (p - 1) // e)
             assert periods.polynomial(e) == period_polynomial_exact(ctx), (p, e)
-        assert all(len(ys) == p - 1 for ys in periods._ys)
+        etas, mod = periods._periods_mod(1, 1 << 40)
+        assert etas == [mod - 1] and mod == math.prod(periods._primes[:2])
+        assert len(periods._residues) == len(periods._ys) == p - 1
 
 
 def test_ys_are_the_powers_of_w_at_the_powers_of_g():
+    # the table modulo M of four primes is w^(g^t) mod M for a w of order p
+    # mod M, and w mod the residue prime q is the w of q's own table
     p = 1009
     g = primitive_root(p)
     periods = PrimePeriods(p, g)
-    periods._add_prime()
-    for q, ys in zip(periods._primes, periods._ys):
+    _, mod = periods._periods_mod(1, 1 << 100)
+    assert mod == math.prod(periods._primes) and len(periods._primes) == 4
+    for ys, m in ((periods._ys, mod), (periods._residues, periods.residue_prime)):
         w = ys[0]  # w^(g^0)
-        assert w != 1 and pow(w, p, q) == 1
-        assert list(ys) == [pow(w, pow(g, t, p), q) for t in range(p - 1)], q
+        assert all(w % q != 1 for q in periods._primes if m % q == 0) and pow(w, p, m) == 1
+        assert list(ys) == [pow(w, pow(g, t, p), m) for t in range(p - 1)], m
+    assert periods._ys[0] % periods.residue_prime == periods._residues[0]
 
 
 # -- product tree ------------------------------------------------------------

@@ -5,12 +5,13 @@ import pickle
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from periodeq.intpoly import IntPoly, Signature
-from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify
+from periodeq.monogeneity import ClassificationRecord, FieldDiscriminant, MatchKind, classify, needs_periods
 import periodeq
 from periodeq.cli import records_to_csv
 from periodeq.number_theory import MAX_P, PRIME_TEST_BOUND, InvalidContext, is_prime, make_context
@@ -292,7 +293,7 @@ def test_prime_periods_are_built_only_for_pairs_that_need_periods(monkeypatch):
     import periodeq.monogeneity as mono_mod
     import periodeq.scanner as scanner_mod
 
-    def refuse(p, g):
+    def refuse(p, g, e_max=None):
         raise AssertionError(f"a PrimePeriods was built for p = {p}")
 
     # f <= 2 writes psi down and e = 3 takes Gauss's closed form, so a prime
@@ -308,11 +309,30 @@ def test_prime_periods_are_built_only_for_pairs_that_need_periods(monkeypatch):
     monkeypatch.undo()
     # any other p builds one, at its first pair with f > 2 and e != 3
     built = []
-    monkeypatch.setattr(scanner_mod, "PrimePeriods", lambda p, g: built.append(p) or PrimePeriods(p, g))
+    monkeypatch.setattr(scanner_mod, "PrimePeriods", lambda p, g, e_max: built.append(p) or PrimePeriods(p, g, e_max))
     records = scan(ScanSpec(3, 6, 200)).records
     assert records == tuple(classify(make_context(rec.e, rec.f)) for rec in records)
     assert sorted(built) == sorted({rec.p for rec in records if rec.f > 2 and rec.e != 3})
     assert len(built) < len({rec.p for rec in records})
+
+
+def test_a_scan_builds_at_most_three_tables_per_prime(monkeypatch):
+    # the g table, the residue prime's and one table modulo the M of the
+    # largest e of p that needs periods; the census certifies every f >= 3
+    # pair here, so it builds no table modulo more than one prime
+    import periodeq.periods as periods_mod
+
+    built = []
+    real = periods_mod._power_table
+    # the g table has p - 1 entries and the others p, so n | 1 is p
+    monkeypatch.setattr(periods_mod, "_power_table", lambda base, mod, n: built.append((n | 1, mod)) or real(base, mod, n))
+    records = scan(ScanSpec(4, 60, 1000)).records
+    per_p = Counter(p for p, _ in built)
+    assert set(per_p) == {rec.p for rec in records if needs_periods(rec.e, rec.f)}
+    assert max(per_p.values()) == 3
+    built.clear()
+    census(ScanSpec(4, 100, 2000))
+    assert built and all(mod < 1 << 30 for _, mod in built)
 
 
 def test_summary_path_names_the_pair_whose_norms_contradict(monkeypatch):
