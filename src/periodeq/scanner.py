@@ -6,9 +6,9 @@ the primes of the whole range from one sieve.  A work unit is one prime p:
 every (e, f) pair of that p is handled from one shared PrimePeriods, built
 at the first pair that needs one, sized for the largest e of p that does,
 and dropped before the next p's, so a survey holds the task list, the
-results and, per worker, one prime's tables.  Only a pair that needs_periods reads one, so a
-prime whose pairs are all f <= 2 or e = 3, which classify writes down in
-closed form, builds no table.
+results and, per worker, one prime's tables.  Only a pair that
+needs_periods reads one, so a prime whose pairs are all f <= 2 or e = 3,
+which classify writes down in closed form, builds no table.
 Results are merged back into the tasks' order whatever the worker count, so
 any two runs of the same spec produce byte-identical serialized output.
 
