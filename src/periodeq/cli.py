@@ -8,12 +8,13 @@ A record's wire fields are named once, by record_to_json_dict in
 CSV_HEADER order, and read back only by record_from_json_dict; CSV respells
 monogenic as true/false and packs the coefficient vector, highest degree
 first, into one space-separated quoted field.  Integers that can exceed 64
-bits (k, k^2, coefficients) are decimal strings in JSON.  CSV round-trips
-byte for byte through parse_csv_records, and each record of a JSON report
-through record_from_json_dict, which reads an integer only as str(n) spells
-it, checks the rules on the primary fields, builds the record from (e, f, k)
-with ClassificationRecord.from_index and compares the six derived fields
-with it; a malformed or self-contradictory record raises ValueError.
+bits (k, k^2, coefficients) are decimal strings in JSON; k and k^2 pass the
+int-to-str digit limit through decimal (_wire_str).  CSV round-trips byte
+for byte through parse_csv_records, and each record of a JSON report
+through record_from_json_dict, which reads an integer only as _wire_str
+spells it, checks the rules on the primary fields, builds the record from
+(e, f, k) with ClassificationRecord.from_index and compares the six derived
+fields with it; a malformed or self-contradictory record raises ValueError.
 Nothing reads a JSON report as a whole.
 """
 
@@ -51,24 +52,37 @@ def record_to_json_dict(rec: ClassificationRecord) -> dict:
         "n_real": rec.signature.n_real,
         "delta_sign": rec.field_discriminant.sign,
         "delta_exponent": rec.field_discriminant.exponent,
-        "k_squared": str(rec.k_squared),
-        "k": str(rec.k),
+        "k_squared": _wire_str(rec.k_squared),
+        "k": _wire_str(rec.k),
         "monogenic": rec.monogenic,
         "match_kind": rec.match_kind.value,
         "coeffs": [str(c) for c in rec.psi.high_to_low()],
     }
 
 
+def _wire_str(n: int) -> str:
+    """str(n), through the decimal module past the int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # here, so importing periodeq.cli does not pay for it
+        return str(Decimal(n))
+
+
 def _wire_int(name: str, v) -> int:
-    """An int, or a decimal string as str(n) spells it, such as "-12", as an
-    int; "+1", "007", "0_4", "5 " or non-ASCII digits would not write back."""
+    """An int, or a decimal string as _wire_str spells it, such as "-12", as an
+    int; "+1", "007", "0_4", "5 ", "1e9" or non-ASCII digits would not write
+    back.  Past the digit limit, decimal reads ASCII digits after an optional "-"."""
     if type(v) is int:
         return v
     try:
         if type(v) is str and str(n := int(v)) == v:
             return n
     except ValueError:
-        pass
+        if v.isascii() and v[v[:1] == "-":].isdigit():
+            from decimal import Decimal
+            if _wire_str(n := int(Decimal(v))) == v:
+                return n
     raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
@@ -112,7 +126,7 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
     }
     for name, value in built.items():
         if n[name] != value:
-            raise ValueError(f"record (e={e}, f={f}) has {name} {n[name]}, but its (e, f, k) give {value}")
+            raise ValueError(f"record (e={e}, f={f}) has {name} {_wire_str(n[name])}, but its (e, f, k) give {_wire_str(value)}")
     return rec
 
 
@@ -237,12 +251,13 @@ def cmd_classify(args) -> int:
         # D as k^2 * delta, as D can pass the int-to-str digit limit
         delta = rec.field_discriminant
         delta_text = f"{'-' if delta.sign < 0 else '+'}{delta.p}^{delta.exponent}"
+        k_squared = _wire_str(rec.k_squared)
         print(
             f"e={rec.e} f={rec.f} p={rec.p} g={rec.g}\n"
             f"psi = {rec.psi.to_str()}\n"
-            f"poly discriminant D = {rec.k_squared} * {delta_text}\n"
+            f"poly discriminant D = {k_squared} * {delta_text}\n"
             f"field discriminant = {delta_text}\n"
-            f"k^2 = {rec.k_squared}, k = {rec.k}\n"
+            f"k^2 = {k_squared}, k = {_wire_str(rec.k)}\n"
             f"monogenic: {'yes' if rec.monogenic else 'no'}\n"
             f"signature: {rec.signature.n_real} real, {rec.signature.n_complex_pairs} complex pairs\n"
             f"match: {rec.match_kind.value}"

@@ -294,17 +294,15 @@ def demoivre_reduce(P: IntPoly) -> IntPoly:
 
 
 def demoivre_unfold(R: IntPoly) -> IntPoly:
-    """Inverse of demoivre_reduce: x^e R(x + 1/x) for deg R = e >= 1."""
+    """Inverse of demoivre_reduce: x^e R(x + 1/x) for deg R = e >= 1, by
+    Horner's scheme in x^2 + 1, as x^e R(x + 1/x) = sum_j r_j x^(e-j) (x^2 + 1)^j:
+    B_e = r_e, B_j = (x^2 + 1) B_(j+1) + r_j x^(e-j), and B_0 is the unfolding."""
     e = R.degree
     if e is None or e < 1:
         raise ValueError("unfold needs degree >= 1")
-    out = [0] * (2 * e + 1)
-    row = [1]  # binomial coefficients of (x^2 + 1)^j
-    for j in range(e + 1):
-        c = R.coeffs[j]
-        if c:
-            base = e - j
-            for k, w in enumerate(row):
-                out[base + 2 * k] += c * w
-        row = [1] + [row[t] + row[t + 1] for t in range(j)] + [1]
+    r = R.coeffs
+    out = [r[e]]
+    for j in range(e - 1, -1, -1):
+        out = [a + b for a, b in zip([*out, 0, 0], [0, 0, *out])]
+        out[e - j] += r[j]
     return IntPoly(out)

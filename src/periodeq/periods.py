@@ -15,10 +15,10 @@ modulo M, so the e periods mod M are slice sums of one table of powers of
 w, and prod (x - eta_i) is multiplied out once, modulo M, by a product tree
 whose levels multiply packed ints (Kronecker substitution).  Taken modulo
 the norms' bound, the same periods give the Galois norms of the period
-differences exactly (norms, by the one loop galois_norms).  The first CRT
-prime q keeps its own table: the periods mod q, its plain slice sums
-(period_residues), and Euler's criterion mod q, taken once per prime
-(residue_symbol), are all a monogenicity certificate needs.
+differences exactly (norms, by the one loop galois_norms).  Taken modulo
+the first CRT prime q, they are all a monogenicity certificate needs, with
+Euler's criterion mod q taken once per prime (period_residues,
+residue_symbol).
 
 Both bounds that size M come from two exact identities of the periods
 (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2), which follow
@@ -225,27 +225,24 @@ class PrimePeriods:
     docstring), not on the worst case |eta_i| <= f, which asks for about
     twice the bits.
 
-    The table modulo M is built at the first bound that asks for more than
-    the first prime, for the larger of that bound and both bounds of e_max,
-    the largest e its caller will ask for: classify passes its own e, and a
-    scan the largest e of p that needs_periods.  A later, larger bound
-    builds it again for its own primes.  A table modulo M serves every
-    bound whose modulus divides M, each period sum reduced mod that modulus.
-
-    The first prime q, residue_prime, keeps its own table, of one-digit
-    ints below 2**30, whose slice sums mod q take the interpreter's
-    single-digit path; period_residues reads it, and so does every bound
-    that one prime covers.  The primes a bound asks for are searched before
-    any table is built, and counted as n + 1 tables of p - 1 entries (the g
-    table, and one digit per prime in each entry of the table modulo M),
-    so a bound past MAX_TABLE_ENTRIES is refused, with InvalidContext,
-    before its table is built; a plan for e_max past it is dropped, and
-    each bound is refused on its own.  So is every p > MAX_P, before g is
-    tested.
+    The table is built at the first bound asked for: modulo the first prime
+    q, residue_prime, while one prime covers the bounds, so its one-digit
+    entries take the interpreter's single-digit path, and at the first
+    bound past one prime for the larger of that bound and both bounds of
+    e_max, the largest e its caller will ask for: classify passes its own
+    e, and a scan the largest e of p that needs_periods.  A later, larger
+    bound builds it again for its own primes.  A table modulo M serves
+    every bound whose modulus divides M, each period sum reduced mod that
+    modulus.  The primes a bound asks for are searched before any table is
+    built, and counted as n + 1 tables of p - 1 entries (the g table, and
+    one digit per prime in each entry of the table modulo M), so a bound
+    past MAX_TABLE_ENTRIES is refused, with InvalidContext, before its
+    table is built; a plan for e_max past it is dropped, and each bound is
+    refused on its own.  So is every p > MAX_P, before g is tested.
     """
 
     def __init__(self, p: int, g: int, e_max: int | None = None):
-        _check_table_budget(p, 2)  # the g table and the residue prime's
+        _check_table_budget(p, 2)  # the g table and a table modulo one prime
         # p an odd prime and g of order p - 1, else the classes ys[i::e] are not the periods
         if not is_primitive_root(g, p):
             raise InvalidContext(f"g = {g} is not a primitive root mod an odd prime p = {p}")
@@ -256,10 +253,9 @@ class PrimePeriods:
         self._candidates = primes_in_progression(2 * p)
         self._tab = _power_table(g, p, p - 1)
         self._primes = [next(self._candidates)]
-        # the residue prime's table, and the widest table with its number of
-        # primes, the same one until a bound asks for a second prime
-        self._residues = self._ys = self._gather(1)
-        self._width = 1
+        # the table of the periods and its number of primes, none until a bound asks
+        self._ys: tuple[int, ...] = ()
+        self._width = 0
         # per integer a, a^((q - 1)/2) mod q lifted, for q = residue_prime
         self._symbols: dict[int, int] = {}
 
@@ -310,11 +306,10 @@ class PrimePeriods:
         The images come from the ring map Z[zeta] -> GF(q) that sends zeta to
         w_q, so any integer polynomial in the periods (psi_e's coefficients,
         the Galois norms) reduces mod q to the same polynomial in them.  They
-        are the plain slice sums of the residue prime's table, mod q.
+        are the periods modulo the one prime that a bound of 0 asks for.
         """
         self._check_divisor(e)
-        q, ys = self._primes[0], self._residues
-        return [sum(ys[i::e]) % q for i in range(e)]
+        return self._periods_mod(e, 0)[0]
 
     def _periods_mod(self, e: int, bound: int) -> tuple[list[int], int]:
         """([eta_0, ..., eta_(e-1)] mod M, M) for a divisor e of p - 1, where M
@@ -325,14 +320,14 @@ class PrimePeriods:
         n, mod = self._primes_for(bound)
         if n > self._width:
             self._width = n
-            if self._e_max is not None:
+            if n > 1 and self._e_max is not None:
                 ctx = PrimeContext(self.p, self._e_max, (self.p - 1) // self._e_max, self.g)
                 try:
                     self._width = max(n, self._primes_for(max(coefficient_bound(ctx), _norm_bound(self.p, ctx.e)))[0])
                 except InvalidContext:  # a plan past the budget: each bound is refused on its own
                     pass
             self._ys = self._gather(self._width)
-        ys = self._ys if n > 1 else self._residues
+        ys = self._ys
         return [sum(ys[i::e]) % mod for i in range(e)], mod
 
     def polynomial(self, e: int) -> PeriodPolynomial:

@@ -168,7 +168,7 @@ def test_classify_f1_past_the_crt_table_budget(capsys):
 def test_classify_over_the_table_budget_exits_2_before_its_tables(capsys, monkeypatch):
     # p = 20011: the bound of (6670, 3) asks for more CRT primes than the
     # budget holds tables for; the primes are counted before any table past
-    # the g table and the residue prime's is built
+    # the g table is built
     import periodeq.periods as periods_mod
 
     built = []
@@ -179,7 +179,28 @@ def test_classify_over_the_table_budget_exits_2_before_its_tables(capsys, monkey
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
     assert "p = 20011 would need 225 tables of 20010 entries, over the table budget" in err
-    assert len(built) == 2
+    assert built == [20011]
+
+
+def test_scan_past_the_int_to_str_limit_reads_back_byte_for_byte(capsys):
+    # e = 100, p <= 5000: 11 of the 16 records have a k^2 past the 4300-digit
+    # int-to-str limit, written and read back through the decimal module
+    code, out, _ = run(capsys, ["scan", "--e-range", "100", "--p-bound", "5000"])
+    assert code == 0
+    records = parse_csv_records(out)
+    assert records_to_csv(records) == out
+    assert len(records) == 16 and sum(rec.k_squared >= 10**4300 for rec in records) == 11
+    code, out, _ = run(capsys, ["scan", "--e-range", "100", "--p-bound", "5000", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    back = [record_from_json_dict(d) for d in report["records"]]
+    assert back == records
+    assert json.dumps({**report, "records": [record_to_json_dict(r) for r in back]}, indent=2) + "\n" == out
+    # a k^2 past the limit that its k does not give (no square ends in 2) is
+    # named in the refusal
+    big = next(d for d in report["records"] if len(d["k_squared"]) > 4300)
+    with pytest.raises(ValueError, match=f"has k_squared {big['k_squared'][:-1]}2, but"):
+        record_from_json_dict(dict(big, k_squared=big["k_squared"][:-1] + "2"))
 
 
 def test_classify_csv_round_trip(capsys):
@@ -423,10 +444,14 @@ def test_csv_non_integer_field_is_rejected(field):
 @pytest.mark.parametrize(
     "field, value",
     [("e", "0_4"), ("f", "+1"), ("p", "5 "), ("g", "02"), ("n_real", "-0"), ("delta_sign", "+1"),
-     ("delta_exponent", " 3"), ("k_squared", "\u0661"), ("k", "01")],
+     ("delta_exponent", " 3"), ("k_squared", "\u0661"), ("k", "01"),
+     # past the int-to-str digit limit, where decimal reads the digits
+     pytest.param("k", "0" + "9" * 5000, id="k-leading-zero-past-the-limit"),
+     pytest.param("k_squared", "+" + "9" * 5000, id="k_squared-plus-past-the-limit"),
+     pytest.param("k", "9" * 5000 + "e1", id="k-exponent-past-the-limit")],
 )
 def test_non_canonical_wire_integer_is_rejected(field, value):
-    # only str(n) writes back to the same bytes, in CSV and in JSON
+    # only _wire_str(n) writes back to the same bytes, in CSV and in JSON
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         parse_csv_records(csv_row(**{field: value}))
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):

@@ -16,6 +16,7 @@ from periodeq.intpoly import (
     demoivre_unfold,
     discriminant,
     discriminant_and_signature,
+    halved_cyclotomic_prime,
     is_self_reciprocal,
     resultant,
     signature,
@@ -356,6 +357,8 @@ def test_unfold_fixed_cases():
     assert demoivre_unfold(IntPoly((0, 1))) == IntPoly((1, 0, 1))
     assert demoivre_unfold(IntPoly((-2, 0, 1))) == IntPoly((1, 0, 0, 0, 1))
     assert demoivre_unfold(demoivre_reduce(cyclotomic_prime(11))) == cyclotomic_prime(11)
+    # degree 2003, about 0.3 s by Horner's scheme in x^2 + 1
+    assert demoivre_unfold(halved_cyclotomic_prime(4007)) == cyclotomic_prime(4007)
     with pytest.raises(ValueError):
         demoivre_unfold(IntPoly((4,)))
 

@@ -442,7 +442,7 @@ def test_index_certificate_agrees_with_the_exact_index_up_to_p300():
 
 
 def test_classify_after_the_certificate_equals_a_fresh_classify():
-    # the certificate reads the residue prime's table alone, and classify
+    # the certificate reads the table modulo the residue prime alone, and classify
     # builds its periods from the table modulo M whether or not the
     # certificate came first; f = 1 and 2 are the matched shapes, the rest not
     for p in (101, 193):
@@ -564,6 +564,7 @@ def test_stickelberger_check_by_symbols_agrees_with_one_power_per_pair(monkeypat
     raised = passed = 0
     for p in (13, 17, 43, 101, 193, 359):
         periods = PrimePeriods(p, primitive_root(p))
+        periods.period_residues(1)  # the table, built before the count starts
         q, divisors = periods.residue_prime, [d for d in range(1, p) if (p - 1) % d == 0]
         non_residue = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
         monkeypatch.setattr(periods_mod, "pow", counted_pow, raising=False)

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from math import comb, isqrt
 
 import mpmath
@@ -355,7 +355,7 @@ def test_table_budget_refuses_the_table_that_would_cross_it(monkeypatch):
     import periodeq.periods as periods_mod
 
     # three tables of p - 1 = 66 entries fit: the g table and two CRT primes'
-    # worth, here one table modulo two primes, for psi_33
+    # worth, here one table modulo two primes, for psi_33, built at once
     monkeypatch.setattr(periods_mod, "MAX_TABLE_ENTRIES", 3 * 66)
     built = []
     real = periods_mod._power_table
@@ -363,14 +363,28 @@ def test_table_budget_refuses_the_table_that_would_cross_it(monkeypatch):
     periods = PrimePeriods(67, primitive_root(67))
     periods.polynomial(33)
     q_1, q_2 = periods._primes
-    assert built == [67, q_1, q_1 * q_2]
+    assert built == [67, q_1 * q_2]
     # psi_66 = Phi_67, whose middle coefficient C(66, 33) > 2^62, takes a third
     with pytest.raises(InvalidContext, match="4 tables of 66 entries, over the table budget"):
         periods.polynomial(66)
-    assert built == [67, q_1, q_1 * q_2]  # no wider table was built
+    assert built == [67, q_1 * q_2]  # no wider table was built
     # a larger p is refused before its g table is built
     with pytest.raises(InvalidContext, match="2 tables of 100 entries"):
         PrimePeriods(101, primitive_root(101))
+
+
+def test_a_fresh_classify_builds_the_g_table_and_one_table_modulo_m(monkeypatch):
+    # (60, 1666), p = 99961: classify reads no table modulo the residue prime
+    # alone, so it builds the g table and the table modulo M of its bounds
+    import periodeq.periods as periods_mod
+    from periodeq.monogeneity import classify
+
+    built = []
+    real = periods_mod._power_table
+    monkeypatch.setattr(periods_mod, "_power_table", lambda base, mod, n: built.append(mod) or real(base, mod, n))
+    ctx = make_context(60, 1666)
+    classify(ctx)
+    assert len(built) == 2 and built[0] == ctx.p and built[1].bit_length() > 300
 
 
 def test_table_budget_holds_the_largest_pair_up_to_p_100000():
@@ -407,7 +421,8 @@ def test_period_residues_are_kept_slice_sums_in_any_call_order():
     for p in (101, 193, 359):
         g = primitive_root(p)
         cert_first, cert_last = PrimePeriods(p, g), PrimePeriods(p, g)
-        q, w = cert_first.residue_prime, cert_first._residues[0]
+        q = cert_first.residue_prime
+        w = next(w for w in (pow(z, (q - 1) // p, q) for z in count(2)) if w != 1)
         for e in (d for d in range(1, p) if (p - 1) % d == 0):
             want = [sum(pow(w, pow(g, k * e + i, p), q) for k in range((p - 1) // e)) % q for i in range(e)]
             index_certificate(cert_first, e)
@@ -439,31 +454,39 @@ def test_power_table_equals_the_product_chain():
 
 
 def test_prime_periods_at_the_smallest_gathers():
-    # at p = 3 each table gathers two entries, at p = 5 four; a bound of
-    # 2^40 takes a table modulo two primes, whose one period sums to -1
+    # at p = 3 each table gathers two entries, at p = 5 four: first modulo
+    # the residue prime, and at a bound of 2^40 modulo two primes, where the
+    # one period sums to -1 as well
     for p in (3, 5):
         periods = PrimePeriods(p, primitive_root(p))
+        assert periods.period_residues(1) == [periods.residue_prime - 1]
+        assert len(periods._ys) == p - 1 and periods._width == 1
         for e in (d for d in range(1, p) if (p - 1) % d == 0):
             ctx = make_context(e, (p - 1) // e)
             assert periods.polynomial(e) == period_polynomial_exact(ctx), (p, e)
         etas, mod = periods._periods_mod(1, 1 << 40)
         assert etas == [mod - 1] and mod == math.prod(periods._primes[:2])
-        assert len(periods._residues) == len(periods._ys) == p - 1
+        assert len(periods._ys) == p - 1 and periods._width == 2
 
 
 def test_ys_are_the_powers_of_w_at_the_powers_of_g():
-    # the table modulo M of four primes is w^(g^t) mod M for a w of order p
-    # mod M, and w mod the residue prime q is the w of q's own table
+    # no table until a bound asks; the table of width 1 is w_q^(g^t) mod q
+    # for w_q of order p mod the residue prime q, and the table modulo M of
+    # four primes is w^(g^t) mod M for a w of order p mod M, which reduces
+    # mod q to the table of width 1
     p = 1009
     g = primitive_root(p)
     periods = PrimePeriods(p, g)
+    assert periods._ys == () and periods._width == 0
+    periods.period_residues(1)
+    narrow, q = periods._ys, periods.residue_prime
     _, mod = periods._periods_mod(1, 1 << 100)
-    assert mod == math.prod(periods._primes) and len(periods._primes) == 4
-    for ys, m in ((periods._ys, mod), (periods._residues, periods.residue_prime)):
+    assert mod == math.prod(periods._primes) and len(periods._primes) == periods._width == 4
+    for ys, m in ((narrow, q), (periods._ys, mod)):
         w = ys[0]  # w^(g^0)
-        assert all(w % q != 1 for q in periods._primes if m % q == 0) and pow(w, p, m) == 1
+        assert all(w % r != 1 for r in periods._primes if m % r == 0) and pow(w, p, m) == 1
         assert list(ys) == [pow(w, pow(g, t, p), m) for t in range(p - 1)], m
-    assert periods._ys[0] % periods.residue_prime == periods._residues[0]
+    assert [y % q for y in periods._ys] == list(narrow)
 
 
 # -- product tree ------------------------------------------------------------
