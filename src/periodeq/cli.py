@@ -12,10 +12,11 @@ bits (k, k^2, coefficients) are decimal strings in JSON; k and k^2 pass the
 int-to-str digit limit through decimal (_wire_str).  CSV round-trips byte
 for byte through parse_csv_records, and each record of a JSON report
 through record_from_json_dict, which reads an integer only as _wire_str
-spells it, checks the rules on the primary fields, builds the record from
-(e, f, k) with ClassificationRecord.from_index and compares the six derived
-fields with it; a malformed or self-contradictory record raises ValueError.
-Nothing reads a JSON report as a whole.
+spells it (a coefficient list in one pass where it can), checks the rules
+on the primary fields, builds the record from (e, f, k) with
+ClassificationRecord.from_index and compares the six derived fields with
+it; a malformed or self-contradictory record raises ValueError, quoting at
+most 40 characters of a value.  Nothing reads a JSON report as a whole.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 
 from .intpoly import IntPoly, cyclotomic_prime, demoivre_unfold, halved_cyclotomic_prime
@@ -34,6 +36,9 @@ from .scanner import ScanReport, ScanSpec, census, cubic_growth, doublet_survey,
 
 CSV_HEADER = "e,f,p,g,n_real,delta_sign,delta_exponent,k_squared,k,monogenic,match_kind,coeffs"
 _FIELDS = CSV_HEADER.split(",")
+# str(n) for ints n, one per space: a "-" only before a nonzero digit, no leading zero
+_CANONICAL = re.compile(r"(-?[1-9][0-9]*|0)( (-?[1-9][0-9]*|0))*")
+_DERIVED = ("k_squared", "monogenic", "n_real", "delta_sign", "delta_exponent", "match_kind")
 # The largest p whose halving prints within CPython's default 4300-digit
 # int-to-str limit: 4299 digits at most, where the next prime, 41177, has 4301.
 REDUCE_MAX_P = 41161
@@ -83,18 +88,23 @@ def _wire_int(name: str, v) -> int:
             from decimal import Decimal
             if _wire_str(n := int(Decimal(v))) == v:
                 return n
-    raise ValueError(f"{name} must be an integer, got {v!r}")
+    raise ValueError(f"{name} must be an integer, got {_head(v, repr) if type(v) is str else repr(v)}")
 
 
-def _record_rules(n: dict, coeffs: list[int]):
-    """(holds, rule) for each rule on a record's primary fields, lazily: each
-    rule may assume the ones before it."""
-    e, f, p, g, k = (n[name] for name in ("e", "f", "p", "g", "k"))
-    yield p == e * f + 1, "p = e*f + 1"
-    yield k >= 1, "k >= 1"
-    yield len(coeffs) == e + 1 and coeffs[:1] == [1], "coeffs of degree e with leading coefficient 1"
-    yield p <= MAX_P, f"p <= MAX_P = {MAX_P}"
-    yield is_primitive_root(g, p), "g a primitive root mod the prime p"
+def _wire_ints(values: list) -> list:
+    """[_wire_int("coeffs", v) for v in values], in one pass when the values
+    are strings spelled as str spells an int, tested at once on their join."""
+    try:
+        if _CANONICAL.fullmatch(" ".join(values)):
+            return list(map(int, values))
+    except (TypeError, ValueError):  # a value that is not a string, or one past the digit limit
+        pass
+    return [_wire_int("coeffs", v) for v in values]
+
+
+def _head(text: str, spell=str) -> str:
+    """spell(text), or past 40 characters spell of its first 40 and text's length."""
+    return spell(text) if len(text) <= 40 else f"{spell(text[:40])}... ({len(text)} characters)"
 
 
 def record_from_json_dict(d: dict) -> ClassificationRecord:
@@ -108,25 +118,23 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
     if type(d["monogenic"]) is not bool:
         raise ValueError(f"monogenic must be a boolean, got {d['monogenic']!r}")
     n = {k: _wire_int(k, v) for k, v in d.items() if k not in ("monogenic", "match_kind", "coeffs")}
-    e, f = n["e"], n["f"]
-    coeffs = [_wire_int("coeffs", c) for c in d["coeffs"]]
-    for holds, rule in _record_rules(n, coeffs):
-        if not holds:
-            raise ValueError(f"record (e={e}, f={f}) breaks {rule}")
-    ctx, psi = PrimeContext(n["p"], e, f, n["g"]), IntPoly.from_high_to_low(coeffs)
-    rec = ClassificationRecord.from_index(ctx, psi, n["k"])
+    e, f, p, g, k = n["e"], n["f"], n["p"], n["g"], n["k"]
+    coeffs = _wire_ints(d["coeffs"])
+    # the rules on the primary fields, in order: each may assume the ones before it
+    rule = ("p = e*f + 1" if p != e * f + 1
+            else "k >= 1" if k < 1
+            else "coeffs of degree e with leading coefficient 1" if len(coeffs) != e + 1 or coeffs[:1] != [1]
+            else f"p <= MAX_P = {MAX_P}" if p > MAX_P
+            else "g a primitive root mod the prime p" if not is_primitive_root(g, p) else None)
+    if rule:
+        raise ValueError(f"record (e={e}, f={f}) breaks {rule}")
+    rec = ClassificationRecord.from_index(PrimeContext(p, e, f, g), IntPoly.from_high_to_low(coeffs), k)
     n["monogenic"], n["match_kind"] = d["monogenic"], MatchKind(d["match_kind"]).value
-    built = {
-        "k_squared": rec.k_squared,
-        "monogenic": rec.monogenic,
-        "n_real": rec.signature.n_real,
-        "delta_sign": rec.field_discriminant.sign,
-        "delta_exponent": rec.field_discriminant.exponent,
-        "match_kind": rec.match_kind.value,
-    }
-    for name, value in built.items():
+    delta = rec.field_discriminant
+    for name, value in zip(_DERIVED, (rec.k_squared, rec.monogenic, rec.signature.n_real, delta.sign,
+                                      delta.exponent, rec.match_kind.value)):
         if n[name] != value:
-            raise ValueError(f"record (e={e}, f={f}) has {name} {_wire_str(n[name])}, but its (e, f, k) give {_wire_str(value)}")
+            raise ValueError(f"record (e={e}, f={f}) has {name} {_head(_wire_str(n[name]))}, but its (e, f, k) give {_head(_wire_str(value))}")
     return rec
 
 

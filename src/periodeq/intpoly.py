@@ -11,6 +11,7 @@ exact; nothing here touches floating point.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .number_theory import CompositeP, InternalContradiction, is_prime
@@ -43,9 +44,9 @@ class IntPoly(NamedTuple("_Coeffs", [("coeffs", tuple[int, ...])])):
 
     def __new__(cls, coeffs=()):
         c = tuple(coeffs)
-        for v in c:
-            if not isinstance(v, int):
-                raise TypeError(f"coefficients must be int, got {type(v).__name__}")
+        if not all(map(isinstance, c, repeat(int))):
+            bad = next(v for v in c if not isinstance(v, int))
+            raise TypeError(f"coefficients must be int, got {type(bad).__name__}")
         while c and c[-1] == 0:
             c = c[:-1]
         return super().__new__(cls, c)

@@ -149,7 +149,7 @@ def _norm_bound(p: int, e: int) -> int:
     return isqrt((2 * p) ** e // e**e)
 
 
-_LEAF = 8  # linear factors per leaf of _product_mod's tree
+_LEAF = 16  # linear factors per leaf of _product_mod's tree, multiplied out in place
 
 
 def _lift(val: int, mod: int) -> int:
@@ -172,21 +172,26 @@ def galois_norms(etas: list[int], mod: int) -> Iterator[int]:
 def _product_mod(etas: list[int], mod: int) -> list[int]:
     """prod (x - eta) modulo mod, low degree first, for etas in [0, mod).
 
-    A subproduct tree: each run of _LEAF factors is multiplied out one factor
-    at a time, and sibling products are then multiplied by Kronecker
-    substitution.  A polynomial packs into one int, a little-endian slot of
-    `width` bytes per coefficient; a product coefficient is a sum of at most
-    len(etas) terms below mod**2, so it fits its slot and never carries into
-    the next one.  Each product is read back with to_bytes and reduced mod
-    mod slot by slot; an odd polynomial out is carried up a level as it is.
+    A subproduct tree: each run of _LEAF factors is multiplied out in place,
+    and sibling products are then multiplied by Kronecker substitution.  A
+    polynomial packs into one int, a little-endian slot of `width` bytes per
+    coefficient; a product coefficient is a sum of at most len(etas) terms
+    below mod**2, so it fits its slot and never carries into the next one.
+    Each product is read back with to_bytes and reduced mod mod slot by
+    slot; an odd polynomial out is carried up a level as it is.
     """
     width = (2 * mod.bit_length() + len(etas).bit_length() + 8) // 8
     polys = []
     for start in range(0, len(etas), _LEAF):
-        coeffs = [1]
+        coeffs = [1 % mod]
         for eta in etas[start:start + _LEAF]:
-            # (x - eta) * coeffs: coefficient j is coeffs[j-1] - eta * coeffs[j]
-            coeffs = [(a - eta * b) % mod for a, b in zip([0, *coeffs], [*coeffs, 0])]
+            # (x + a) * coeffs, a = mod - eta >= 0: the leading coefficient moves up,
+            # then from the top down coefficient j becomes coeffs[j-1] + a * coeffs[j]
+            a = mod - eta
+            coeffs.append(coeffs[-1])
+            for j in range(len(coeffs) - 2, 0, -1):
+                coeffs[j] = (coeffs[j - 1] + a * coeffs[j]) % mod
+            coeffs[0] = a * coeffs[0] % mod
         polys.append(coeffs)
 
     def pack(poly: list[int]) -> int:
@@ -337,7 +342,8 @@ class PrimePeriods:
         self._check_divisor(e)
         ctx = PrimeContext(p=self.p, e=e, f=(self.p - 1) // e, g=self.g)
         etas, mod = self._periods_mod(e, coefficient_bound(ctx))
-        return PeriodPolynomial(ctx, IntPoly([_lift(val, mod) for val in _product_mod(etas, mod)]))
+        half = mod // 2  # each coefficient lifted to (-mod/2, mod/2], as by _lift
+        return PeriodPolynomial(ctx, IntPoly([val - mod if val > half else val for val in _product_mod(etas, mod)]))
 
     def norms(self, e: int) -> tuple[list[int], int]:
         """([N_1, ..., N_(e/2)] of galois_norms, psi_e(1) = prod_i (1 - eta_i))

@@ -197,10 +197,13 @@ def test_scan_past_the_int_to_str_limit_reads_back_byte_for_byte(capsys):
     assert back == records
     assert json.dumps({**report, "records": [record_to_json_dict(r) for r in back]}, indent=2) + "\n" == out
     # a k^2 past the limit that its k does not give (no square ends in 2) is
-    # named in the refusal
+    # named in the refusal by its first 40 digits and its length, and so is k^2
     big = next(d for d in report["records"] if len(d["k_squared"]) > 4300)
-    with pytest.raises(ValueError, match=f"has k_squared {big['k_squared'][:-1]}2, but"):
+    digits = len(big["k_squared"])
+    head = f"{big['k_squared'][:40]}\\.\\.\\. \\({digits} characters\\)"
+    with pytest.raises(ValueError, match=f"has k_squared {head}, but its \\(e, f, k\\) give {head}$") as refusal:
         record_from_json_dict(dict(big, k_squared=big["k_squared"][:-1] + "2"))
+    assert len(str(refusal.value)) < 200
 
 
 def test_classify_csv_round_trip(capsys):
@@ -448,22 +451,46 @@ def test_csv_non_integer_field_is_rejected(field):
      # past the int-to-str digit limit, where decimal reads the digits
      pytest.param("k", "0" + "9" * 5000, id="k-leading-zero-past-the-limit"),
      pytest.param("k_squared", "+" + "9" * 5000, id="k_squared-plus-past-the-limit"),
-     pytest.param("k", "9" * 5000 + "e1", id="k-exponent-past-the-limit")],
+     pytest.param("k", "9" * 5000 + "e1", id="k-exponent-past-the-limit"),
+     pytest.param("k", "+" + "9" * 17000, id="k-plus-17000-characters")],
 )
 def test_non_canonical_wire_integer_is_rejected(field, value):
-    # only _wire_str(n) writes back to the same bytes, in CSV and in JSON
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+    # only _wire_str(n) writes back to the same bytes, in CSV and in JSON; a
+    # refusal quotes a value past 40 characters by its first 40 and its length
+    got = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    with pytest.raises(ValueError, match=f"^{field} must be an integer") as refusal:
         parse_csv_records(csv_row(**{field: value}))
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+    assert str(refusal.value) == f"{field} must be an integer, got {got}" and len(got) < 70
+    with pytest.raises(ValueError, match=f"^{field} must be an integer") as refusal:
         record_from_json_dict(json_record(**{field: value}))
+    assert str(refusal.value) == f"{field} must be an integer, got {got}"
 
 
-@pytest.mark.parametrize("coeff", ["+1", "01", "1_0", "\uff11"])
+@pytest.mark.parametrize(
+    "coeff",
+    ["+1", "01", "1_0", "\uff11",
+     # past the int-to-str digit limit, where the one-pass read falls back to decimal
+     pytest.param("0" + "9" * 5000, id="leading-zero-past-the-limit")],
+)
 def test_non_canonical_coefficient_is_rejected(coeff):
     with pytest.raises(ValueError, match="^coeffs must be an integer"):
         parse_csv_records(csv_row(coeffs=f'"1 {coeff} 1 1 1"'))
     with pytest.raises(ValueError, match="^coeffs must be an integer"):
         record_from_json_dict(json_record(coeffs=["1", coeff, "1", "1", "1"]))
+    # among ints, the list is read one value at a time
+    with pytest.raises(ValueError, match="^coeffs must be an integer"):
+        record_from_json_dict(json_record(coeffs=[1, coeff, 1, "1", 1]))
+
+
+def test_coefficients_read_back_past_the_one_pass_read():
+    # a canonical 5000-digit coefficient among short ones, read through
+    # decimal, and a JSON list that mixes ints and strings
+    big = "9" * 5000
+    for rec in (parse_csv_records(csv_row(coeffs=f'"1 {big} -1 0 1"'))[0],
+                record_from_json_dict(json_record(coeffs=["1", big, "-1", "0", "1"]))):
+        assert rec.psi.high_to_low() == (1, 10**5000 - 1, -1, 0, 1)
+    rec = record_from_json_dict(json_record(coeffs=[1, "1", 1, "1", 1]))
+    assert rec == classify(make_context(4, 1))
 
 
 def test_json_decimal_string_is_read_as_int():

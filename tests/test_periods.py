@@ -500,11 +500,12 @@ def _one_factor_at_a_time(etas, mod):
 
 
 def test_product_tree_equals_the_one_factor_at_a_time_product():
-    # e < 8, e = 8 (one leaf), sizes off a multiple of 8 and odd counts at a
-    # level (e = 17 has leaves 8, 8, 1); M the product of 1 to 20 CRT primes
+    # e < 16, e = 16 (one leaf), sizes off a multiple of 16 and odd counts at
+    # a level (e = 17 has leaves 16, 1; e = 33 has 16, 16, 1; e = 49 has
+    # three leaves and one); M the product of 1 to 20 CRT primes
     rng = random.Random(11)
     moduli = list(accumulate(islice(primes_in_progression(2 * 41), 20), lambda a, b: a * b))
-    for e in range(1, 41):
+    for e in range(1, 51):
         for mod in moduli:
             for etas in (
                 [rng.randrange(mod) for _ in range(e)],
