@@ -4,30 +4,28 @@ Exit codes: 0 success, 2 invalid input (an --output that cannot be written
 too), 3 verification mismatch, 4 internal arithmetic contradiction (a bug,
 not a property of the input).
 
-A record's wire fields are named once, by record_to_json_dict in
-CSV_HEADER order, and read back only by record_from_json_dict; CSV respells
-monogenic as true/false and packs the coefficient vector, highest degree
-first, into one space-separated quoted field.  Integers that can exceed 64
-bits (k, k^2, coefficients) are decimal strings in JSON; k and k^2 pass the
-int-to-str digit limit through decimal (_wire_str).  CSV round-trips byte
-for byte through parse_csv_records, and each record of a JSON report
-through record_from_json_dict, which reads an integer only as _wire_str
-spells it (a coefficient list in one pass where it can), checks the rules
-on the primary fields, builds the record from (e, f, k) with
-ClassificationRecord.from_index and compares the six derived fields with
-it; a malformed or self-contradictory record raises ValueError, quoting at
-most 40 characters of a value.  Nothing reads a JSON report as a whole.
+A record's wire fields are named once, by record_to_json_dict in CSV_HEADER
+order, and read back only by record_from_json_dict; CSV respells monogenic
+as true/false and packs the coefficient vector, highest degree first, into
+one space-separated quoted field.  Integers that can exceed 64 bits (k, k^2,
+coefficients) are decimal strings in JSON.  Every printed integer is spelled
+by intpoly.int_str, past the int-to-str digit limit too.  CSV round-trips
+byte for byte through parse_csv_records, the inverse of record_to_csv_line,
+and each record of a JSON report through record_from_json_dict, which reads
+an integer only as int_str spells it (a coefficient list in one pass where
+it can), checks the rules on the primary fields, builds the record from
+(e, f, k) with ClassificationRecord.from_index and compares the six derived
+fields with it; a malformed or self-contradictory record raises ValueError,
+quoting at most 40 characters of a value.  No reader takes a JSON report whole.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 import sys
 
-from .intpoly import IntPoly, cyclotomic_prime, demoivre_unfold, halved_cyclotomic_prime
+from .intpoly import IntPoly, cyclotomic_prime, demoivre_unfold, halved_cyclotomic_prime, int_str, int_strs
 from .monogeneity import ClassificationRecord, MatchKind, classify, psi_and_index
 from .number_theory import MAX_P, InternalContradiction, PrimeContext, is_prime, is_primitive_root, make_context
 from .periods import period_polynomial_exact
@@ -39,9 +37,6 @@ _FIELDS = CSV_HEADER.split(",")
 # str(n) for ints n, one per space: a "-" only before a nonzero digit, no leading zero
 _CANONICAL = re.compile(r"(-?[1-9][0-9]*|0)( (-?[1-9][0-9]*|0))*")
 _DERIVED = ("k_squared", "monogenic", "n_real", "delta_sign", "delta_exponent", "match_kind")
-# The largest p whose halving prints within CPython's default 4300-digit
-# int-to-str limit: 4299 digits at most, where the next prime, 41177, has 4301.
-REDUCE_MAX_P = 41161
 
 
 # -- record serialization ----------------------------------------------
@@ -57,25 +52,16 @@ def record_to_json_dict(rec: ClassificationRecord) -> dict:
         "n_real": rec.signature.n_real,
         "delta_sign": rec.field_discriminant.sign,
         "delta_exponent": rec.field_discriminant.exponent,
-        "k_squared": _wire_str(rec.k_squared),
-        "k": _wire_str(rec.k),
+        "k_squared": int_str(rec.k_squared),
+        "k": int_str(rec.k),
         "monogenic": rec.monogenic,
         "match_kind": rec.match_kind.value,
-        "coeffs": [str(c) for c in rec.psi.high_to_low()],
+        "coeffs": int_strs(rec.psi.high_to_low()),
     }
 
 
-def _wire_str(n: int) -> str:
-    """str(n), through the decimal module past the int-to-str digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        from decimal import Decimal  # here, so importing periodeq.cli does not pay for it
-        return str(Decimal(n))
-
-
 def _wire_int(name: str, v) -> int:
-    """An int, or a decimal string as _wire_str spells it, such as "-12", as an
+    """An int, or a decimal string as int_str spells it, such as "-12", as an
     int; "+1", "007", "0_4", "5 ", "1e9" or non-ASCII digits would not write
     back.  Past the digit limit, decimal reads ASCII digits after an optional "-"."""
     if type(v) is int:
@@ -86,7 +72,7 @@ def _wire_int(name: str, v) -> int:
     except ValueError:
         if v.isascii() and v[v[:1] == "-":].isdigit():
             from decimal import Decimal
-            if _wire_str(n := int(Decimal(v))) == v:
+            if int_str(n := int(Decimal(v))) == v:
                 return n
     raise ValueError(f"{name} must be an integer, got {_head(v, repr) if type(v) is str else repr(v)}")
 
@@ -134,7 +120,7 @@ def record_from_json_dict(d: dict) -> ClassificationRecord:
     for name, value in zip(_DERIVED, (rec.k_squared, rec.monogenic, rec.signature.n_real, delta.sign,
                                       delta.exponent, rec.match_kind.value)):
         if n[name] != value:
-            raise ValueError(f"record (e={e}, f={f}) has {name} {_head(_wire_str(n[name]))}, but its (e, f, k) give {_head(_wire_str(value))}")
+            raise ValueError(f"record (e={e}, f={f}) has {name} {_head(int_str(n[name]))}, but its (e, f, k) give {_head(int_str(value))}")
     return rec
 
 
@@ -152,19 +138,26 @@ def records_to_csv(records) -> str:
 
 
 def parse_csv_records(text: str) -> list[ClassificationRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != _FIELDS:
+    """The records of records_to_csv's text, read as record_to_csv_line writes
+    them: "\n" ends a line, "," a field, and the last field quotes the
+    coefficients one space apart.  Blank lines are skipped; else ValueError."""
+    lines = text.split("\n")
+    if lines[0] != CSV_HEADER:
         raise ValueError("missing or malformed CSV header")
     out = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
+        row = line.split(",")
         if len(row) != len(_FIELDS):
             raise ValueError(f"CSV line {line_no} has {len(row)} fields, the header {len(_FIELDS)}")
         d = dict(zip(_FIELDS, row))
         # any other spelling stays a string, which record_from_json_dict rejects
         d["monogenic"] = {"true": True, "false": False}.get(d["monogenic"], d["monogenic"])
-        d["coeffs"] = d["coeffs"].split()
+        body = d["coeffs"][1:-1]
+        if f'"{body}"' != d["coeffs"]:
+            raise ValueError(f"CSV line {line_no} has coeffs {_head(d['coeffs'], repr)}, not one quoted field")
+        d["coeffs"] = body.split(" ")
         out.append(record_from_json_dict(d))
     return out
 
@@ -222,50 +215,35 @@ def _emit(text: str, path: str | None, mode: str = "w") -> None:
         sys.stdout.write(text)
 
 
-def _printable_halving(p: int) -> None:
-    """ValueError for a halving of Phi_p with a coefficient past the int-to-str limit."""
-    if p > REDUCE_MAX_P:
-        raise ValueError(f"p = {p} is above REDUCE_MAX_P = {REDUCE_MAX_P}, past the int-to-str limit")
-
-
-def _printable_context(e: int, f: int) -> PrimeContext:
-    """make_context(e, f), refused at once for f == 2 where psi, the halving
-    of Phi_p, could not be printed."""
-    ctx = make_context(e, f)
-    if f == 2:
-        _printable_halving(ctx.p)
-    return ctx
-
-
 def cmd_psi(args) -> int:
-    ctx = _printable_context(args.e, args.f)
+    ctx = make_context(args.e, args.f)
     # the exact engine is the independent reference; the default is classify's psi
     poly = period_polynomial_exact(ctx).poly if args.engine == "exact" else psi_and_index(ctx)[0]
     if args.format == "text":
         print(poly.to_str())
     elif args.format == "csv":
-        coeffs = " ".join(str(c) for c in poly.high_to_low())
+        coeffs = " ".join(int_strs(poly.high_to_low()))
         print("e,f,p,g,coeffs")
         print(f'{ctx.e},{ctx.f},{ctx.p},{ctx.g},"{coeffs}"')
     else:
-        obj = {"e": ctx.e, "f": ctx.f, "p": ctx.p, "g": ctx.g, "coeffs": [str(c) for c in poly.high_to_low()]}
+        obj = {"e": ctx.e, "f": ctx.f, "p": ctx.p, "g": ctx.g, "coeffs": int_strs(poly.high_to_low())}
         print(json.dumps(obj, indent=2))
     return 0
 
 
 def cmd_classify(args) -> int:
-    rec = classify(_printable_context(args.e, args.f))
+    rec = classify(make_context(args.e, args.f))
     if args.format == "text":
         # D as k^2 * delta, as D can pass the int-to-str digit limit
         delta = rec.field_discriminant
         delta_text = f"{'-' if delta.sign < 0 else '+'}{delta.p}^{delta.exponent}"
-        k_squared = _wire_str(rec.k_squared)
+        k_squared = int_str(rec.k_squared)
         print(
             f"e={rec.e} f={rec.f} p={rec.p} g={rec.g}\n"
             f"psi = {rec.psi.to_str()}\n"
             f"poly discriminant D = {k_squared} * {delta_text}\n"
             f"field discriminant = {delta_text}\n"
-            f"k^2 = {k_squared}, k = {_wire_str(rec.k)}\n"
+            f"k^2 = {k_squared}, k = {int_str(rec.k)}\n"
             f"monogenic: {'yes' if rec.monogenic else 'no'}\n"
             f"signature: {rec.signature.n_real} real, {rec.signature.n_complex_pairs} complex pairs\n"
             f"match: {rec.match_kind.value}"
@@ -278,7 +256,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    _printable_halving(args.p)
     print(halved_cyclotomic_prime(args.p).to_str())
     return 0
 
@@ -323,7 +300,7 @@ def cmd_scan(args) -> int:
         _emit("\n".join(lines) + "\n", args.output)
     for rec in report.counterexamples:
         print(
-            f"counterexample: e={rec.e} f={rec.f} p={rec.p} k={rec.k} match={rec.match_kind.value}",
+            f"counterexample: e={rec.e} f={rec.f} p={rec.p} k={int_str(rec.k)} match={rec.match_kind.value}",
             file=sys.stderr,
         )
     return 3 if report.counterexamples else 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
-from .number_theory import CompositeP, InternalContradiction, is_prime
+from .number_theory import MAX_P, CompositeP, InternalContradiction, InvalidContext, is_prime
 
 
 class NotSquarefree(ArithmeticError):
@@ -79,7 +79,8 @@ class IntPoly(NamedTuple("_Coeffs", [("coeffs", tuple[int, ...])])):
     # -- formatting ----------------------------------------------------
 
     def to_str(self) -> str:
-        """Render like 'x^5+x^4-4x^3-3x^2+3x+1' (descending, zero terms skipped)."""
+        """Render like 'x^5+x^4-4x^3-3x^2+3x+1' (descending, zero terms
+        skipped), each coefficient spelled by int_str."""
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -90,15 +91,34 @@ class IntPoly(NamedTuple("_Coeffs", [("coeffs", tuple[int, ...])])):
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if k == 0:
-                body = str(mag)
+                body = int_str(mag)
             else:
                 xpart = "x" if k == 1 else f"x^{k}"
-                body = xpart if mag == 1 else f"{mag}{xpart}"
+                body = xpart if mag == 1 else int_str(mag) + xpart
             parts.append(sign + body)
         return "".join(parts)
 
     def __str__(self) -> str:
         return self.to_str()
+
+
+def int_str(n: int) -> str:
+    """str(n), through the decimal module past the int-to-str digit limit:
+    the one spelling of every integer periodeq prints."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # here, so importing periodeq does not pay for it
+        return str(Decimal(n))
+
+
+def int_strs(values: tuple[int, ...]) -> list[str]:
+    """[int_str(n) for n in values], by str unless a value passes the limit."""
+    try:
+        # a comprehension, as CPython 3.11 specializes str(n) there but not in map
+        return [str(n) for n in values]
+    except ValueError:
+        return [int_str(n) for n in values]
 
 
 def cyclotomic_prime(p: int) -> IntPoly:
@@ -109,12 +129,14 @@ def cyclotomic_prime(p: int) -> IntPoly:
 
 
 def halved_cyclotomic_prime(p: int) -> IntPoly:
-    """demoivre_reduce(cyclotomic_prime(p)) in closed form for prime p >= 3:
+    """demoivre_reduce(cyclotomic_prime(p)) in closed form for prime 3 <= p <= MAX_P:
     the minimal polynomial of 2cos(2 pi/p), whose coefficient of x^(e-j),
     e = (p - 1)/2, is (-1)^floor(j/2) C(e - ceil(j/2), floor(j/2)).  Each
     binomial is the one before times an exact ratio: (e - 2i)/(e - i) from
     C(e - i, i) to C(e - i - 1, i), then (e - 2i - 1)/(i + 1) to C(e - i - 1, i + 1).
     """
+    if p > MAX_P:
+        raise InvalidContext(f"p = {p} is above MAX_P = {MAX_P}")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
     if p == 2:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -147,15 +148,47 @@ def test_classify_text_writes_d_as_k_squared_times_delta(capsys):
     assert "poly discriminant D = 1 * -1451^1449\n" in out
 
 
-def test_classify_text_past_the_int_to_str_limit_writes_nothing(capsys):
-    # p = 41177 > REDUCE_MAX_P: a coefficient of the halving has 4301 digits,
-    # so the pair is refused as reduce refuses p, before the halving is built
-    for argv in (["classify"], ["classify", "--format", "json"], ["psi"], ["psi", "--engine", "exact"]):
-        start = time.perf_counter()
-        code, out, err = run(capsys, [*argv, "--e", "20588", "--f", "2"])
-        assert time.perf_counter() - start < 1.0, argv
-        assert code == 2 and out == "", argv
-        assert "p = 41177 is above REDUCE_MAX_P = 41161, past the int-to-str limit" in err, argv
+@pytest.fixture
+def int_to_str_limit():
+    """sys.set_int_max_str_digits, with the interpreter's limit put back after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce", "--p", "6143"],
+     *([cmd, "--e", "3071", "--f", "2", "--format", fmt] for cmd in ("psi", "classify") for fmt in ("text", "csv", "json")),
+     *(["scan", "--e-range", "3071", "--p-bound", "6143", "--format", fmt] for fmt in ("csv", "json"))],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_output_past_the_int_to_str_limit_is_the_output_without_it(capsys, int_to_str_limit, argv):
+    # p = 6143 = 2 * 3071 + 1 is the first 2e + 1 whose halving has a
+    # coefficient past 640 digits, the lowest limit CPython allows: under it
+    # every integer is spelled as with no limit, and a scan reads back
+    int_to_str_limit(0)
+    want = run(capsys, argv)
+    int_to_str_limit(640)
+    assert run(capsys, argv) == want and want[0] == 0
+    out = want[1]
+    if argv[0] == "scan" and argv[-1] == "csv":
+        assert records_to_csv(parse_csv_records(out)) == out
+    elif argv[0] == "scan":
+        assert_json_records_round_trip(scan(ScanSpec(3071, 3071, 6143)), out)
+
+
+@pytest.mark.parametrize("e, f", [(65536, 1), (933, 2)])
+def test_csv_reads_back_a_field_past_the_csv_module_limit(e, f):
+    # Phi_65537 and the first halving whose coefficient field passes
+    # 131072 characters, the field limit of the standard csv module
+    text = records_to_csv([classify(make_context(e, f))])
+    assert len(text.split(",")[-1]) > 131072 + len('""\n')
+    assert records_to_csv(parse_csv_records(text)) == text
 
 
 def test_classify_f1_past_the_crt_table_budget(capsys):
@@ -266,7 +299,7 @@ def past_max_p_record(**changes):
         (lambda: main(["psi", *PAST_MAX_P, "--engine", "modular"]), "above MAX_P = 2250001"),
         (lambda: main(["psi", *PAST_MAX_P, "--engine", "exact"]), "above MAX_P = 2250001"),
         (lambda: main(["unfold", *PAST_MAX_P]), "above MAX_P = 2250001"),
-        (lambda: main(["reduce", "--p", "41177"]), "above REDUCE_MAX_P = 41161"),
+        (lambda: main(["reduce", "--p", "2250013"]), "above MAX_P = 2250001"),
         (
             lambda: parse_csv_records(csv_row(e="2", f="1125006", p="2250013", coeffs='"1 1 1"')),
             "breaks p <= MAX_P = 2250001",
@@ -455,7 +488,7 @@ def test_csv_non_integer_field_is_rejected(field):
      pytest.param("k", "+" + "9" * 17000, id="k-plus-17000-characters")],
 )
 def test_non_canonical_wire_integer_is_rejected(field, value):
-    # only _wire_str(n) writes back to the same bytes, in CSV and in JSON; a
+    # only int_str(n) writes back to the same bytes, in CSV and in JSON; a
     # refusal quotes a value past 40 characters by its first 40 and its length
     got = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
     with pytest.raises(ValueError, match=f"^{field} must be an integer") as refusal:
@@ -470,7 +503,10 @@ def test_non_canonical_wire_integer_is_rejected(field, value):
     "coeff",
     ["+1", "01", "1_0", "\uff11",
      # past the int-to-str digit limit, where the one-pass read falls back to decimal
-     pytest.param("0" + "9" * 5000, id="leading-zero-past-the-limit")],
+     pytest.param("0" + "9" * 5000, id="leading-zero-past-the-limit"),
+     # in CSV, two spaces in a row and a tab between coefficients
+     pytest.param("", id="doubled-separator"),
+     pytest.param("1\t1", id="tab-separator")],
 )
 def test_non_canonical_coefficient_is_rejected(coeff):
     with pytest.raises(ValueError, match="^coeffs must be an integer"):
@@ -482,12 +518,32 @@ def test_non_canonical_coefficient_is_rejected(coeff):
         record_from_json_dict(json_record(coeffs=[1, coeff, 1, "1", 1]))
 
 
+@pytest.mark.parametrize(
+    "coeffs, reason",
+    [pytest.param('"1 1 1 1 1', "not one quoted field", id="unterminated-quote"),
+     pytest.param("1 1 1 1 1", "not one quoted field", id="unquoted"),
+     pytest.param('"1 1 1 1 1"\r', "not one quoted field", id="cr-line-end"),
+     pytest.param('" 1 1 1 1 1"', "coeffs must be an integer, got ''", id="leading-separator"),
+     pytest.param('"1 1 1 1 1 "', "coeffs must be an integer, got ''", id="trailing-separator")],
+)
+def test_csv_coefficient_field_the_writer_never_writes_is_rejected(coeffs, reason):
+    # records_to_csv quotes the coefficients one space apart and ends each
+    # line with "\n"; the reader takes no other spelling
+    with pytest.raises(ValueError, match=reason):
+        parse_csv_records(csv_row(coeffs=coeffs))
+
+
 def test_coefficients_read_back_past_the_one_pass_read():
     # a canonical 5000-digit coefficient among short ones, read through
-    # decimal, and a JSON list that mixes ints and strings
+    # decimal and written back to its input bytes, and a JSON list that
+    # mixes ints and strings
     big = "9" * 5000
-    for rec in (parse_csv_records(csv_row(coeffs=f'"1 {big} -1 0 1"'))[0],
-                record_from_json_dict(json_record(coeffs=["1", big, "-1", "0", "1"]))):
+    text = csv_row(coeffs=f'"1 {big} -1 0 1"')
+    d = json_record(coeffs=["1", big, "-1", "0", "1"])
+    from_csv, from_json = parse_csv_records(text)[0], record_from_json_dict(d)
+    assert records_to_csv([from_csv]) == text
+    assert json.dumps(record_to_json_dict(from_json)) == json.dumps(d)
+    for rec in (from_csv, from_json):
         assert rec.psi.high_to_low() == (1, 10**5000 - 1, -1, 0, 1)
     rec = record_from_json_dict(json_record(coeffs=[1, "1", 1, "1", 1]))
     assert rec == classify(make_context(4, 1))

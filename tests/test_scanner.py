@@ -221,13 +221,14 @@ def test_serial_import_leaves_multiprocessing_out():
 
 def test_import_leaves_dataclasses_statistics_and_argparse_out():
     # start-up budget: the value types are NamedTuples, cubic_growth fits its
-    # slope with math.fsum and build_parser imports argparse; only modules
-    # that the import itself adds count, not those the site loaded before it
+    # slope with math.fsum, build_parser imports argparse and the CSV reader
+    # splits on "\n" and ","; only modules that the import itself adds
+    # count, not those the site loaded before it
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import periodeq, periodeq.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'statistics', 'argparse'} & (sys.modules.keys() - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'statistics', 'argparse', 'csv'} & (sys.modules.keys() - before)))\n"
         "print(periodeq.cli.main(['doublets', '--e-max', '40']))\n"
     )
     lines = _fresh_interpreter(code).splitlines()
